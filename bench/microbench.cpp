@@ -12,11 +12,14 @@
 #include <benchmark/benchmark.h>
 
 #include <chrono>
+#include <cmath>
 #include <cstdio>
 #include <cstring>
+#include <random>
 #include <string>
 #include <vector>
 
+#include <arena/interference.hpp>
 #include <channel/path_batch.hpp>
 #include <channel/path_solver.hpp>
 #include <channel/ray_tracer.hpp>
@@ -27,6 +30,7 @@
 #include <net/transport.hpp>
 #include <phy/beam_sweep.hpp>
 #include <phy/link.hpp>
+#include <phy/radio.hpp>
 #include <rf/codebook.hpp>
 #include <sim/rng.hpp>
 
@@ -77,6 +81,19 @@ void BM_ArrayGain(benchmark::State& state) {
   }
 }
 BENCHMARK(BM_ArrayGain);
+
+// The complex far-field factor multipath summation uses: one element sum
+// feeds both the amplitude and the phase.
+void BM_ArrayResponse(benchmark::State& state) {
+  rf::PhasedArray array;
+  array.steer(deg_to_rad(75.0));
+  double angle = 0.4;
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(phy::array_response(array, angle));
+    angle += 1e-4;
+  }
+}
+BENCHMARK(BM_ArrayResponse);
 
 void BM_ArraySteer(benchmark::State& state) {
   rf::PhasedArray array;
@@ -266,6 +283,58 @@ void BM_LeakageEval(benchmark::State& state) {
   }
 }
 BENCHMARK(BM_LeakageEval);
+
+// One arena victim's interference evaluation against 31 aggressors: the
+// 32-user room's four corner APs and four wall reflectors, every fourth
+// aggressor re-radiating through a reflector, caller-owned scratch (the
+// coordinator's per-frame call).
+void BM_InterferenceVictim(benchmark::State& state) {
+  constexpr std::size_t kUsers = 32;
+  const geom::Vec2 corners[4] = {{0.4, 0.4}, {7.6, 0.4}, {7.6, 7.6}, {0.4, 7.6}};
+  core::Scene prototype{channel::Room{8.0, 8.0},
+                        core::ApRadio{corners[0], deg_to_rad(45.0)},
+                        core::HeadsetRadio{{4.0, 4.0}, 0.0}};
+  prototype.add_reflector({4.0, 7.7}, deg_to_rad(265.0));
+  prototype.add_reflector({7.7, 4.0}, deg_to_rad(175.0));
+  prototype.add_reflector({0.3, 4.0}, deg_to_rad(355.0));
+  prototype.add_reflector({4.0, 0.3}, deg_to_rad(85.0));
+  std::mt19937_64 rng{1};
+  for (std::size_t r = 0; r < prototype.reflector_count(); ++r) {
+    core::MovrReflector& reflector = prototype.reflector(r);
+    reflector.front_end().steer_rx(
+        prototype.true_reflector_angle_to_ap(reflector));
+    reflector.front_end().steer_tx(
+        prototype.true_reflector_angle_to_headset(reflector));
+    prototype.ap().node().steer_toward(reflector.position());
+    core::GainController::run(reflector.front_end(),
+                              prototype.reflector_input(reflector), rng);
+  }
+  std::vector<core::Scene> scenes;
+  scenes.reserve(kUsers);
+  for (std::size_t u = 0; u < kUsers; ++u) {
+    core::Scene scene = prototype.clone();
+    scene.ap().node().set_position(corners[u % 4]);
+    scene.ap().node().set_orientation(
+        deg_to_rad(45.0 + 90.0 * static_cast<double>(u % 4)));
+    const double t = static_cast<double>(u);
+    scene.headset().node().set_position(
+        {1.0 + std::fmod(1.7 * t, 6.0), 1.0 + std::fmod(2.9 * t, 6.0)});
+    scene.headset().node().face_toward(scene.ap().node().position());
+    scene.ap().node().steer_toward(scene.headset().node().position());
+    scenes.push_back(std::move(scene));
+  }
+  std::vector<arena::Interferer> aggressors;
+  for (std::size_t v = 1; v < kUsers; ++v) {
+    aggressors.push_back({&scenes[v], v % 4 == 0, v % 4});
+  }
+  const arena::InterferenceConfig config;
+  arena::InterferenceScratch scratch;
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(
+        arena::sinr_penalty_db(scenes[0], aggressors, config, scratch));
+  }
+}
+BENCHMARK(BM_InterferenceVictim)->Unit(benchmark::kMicrosecond);
 
 void BM_GainControlRamp(benchmark::State& state) {
   auto scene = make_scene();

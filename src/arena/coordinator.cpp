@@ -228,8 +228,9 @@ double Coordinator::penalty_for(std::size_t user) {
   if (interferer_scratch_.empty()) {
     return brownout;
   }
-  const double interference = sinr_penalty_db(
-      users_[user]->scene, interferer_scratch_, config_.interference);
+  const double interference =
+      sinr_penalty_db(users_[user]->scene, interferer_scratch_,
+                      config_.interference, interference_scratch_);
   return brownout > 0.0 ? brownout + interference : interference;
 }
 

@@ -293,6 +293,7 @@ class Coordinator {
   std::vector<std::uint8_t> orphan_armed_;    // per reflector
   // Scratch, reused per call (the control plane allocates only on warmup).
   std::vector<Interferer> interferer_scratch_;
+  InterferenceScratch interference_scratch_;
   std::vector<AdmissionController::Sample> sample_scratch_;
   std::vector<AdmissionController::State> admission_state_scratch_;
   std::vector<double> ap_weight_scratch_;

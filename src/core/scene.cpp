@@ -1,37 +1,11 @@
 #include <core/scene.hpp>
 
-#include <cmath>
-#include <complex>
 #include <numbers>
 
 #include <rf/noise.hpp>
 #include <rf/propagation.hpp>
 
 namespace movr::core {
-
-namespace {
-
-/// Frequency-averaged power over paths with arbitrary endpoint responses.
-/// `tx_response` and `rx_response` map a global azimuth to a complex
-/// far-field factor.
-template <typename FTx, typename FRx>
-rf::DbmPower hop_power(rf::DbmPower tx_power,
-                       std::span<const channel::Path> paths, FTx&& tx_response,
-                       FRx&& rx_response, const phy::LinkConfig& link,
-                       rf::Decibels extra_loss) {
-  std::vector<phy::PathComponent> components;
-  components.reserve(paths.size());
-  for (const channel::Path& path : paths) {
-    const rf::DbmPower path_power = tx_power - path.loss;
-    const double amplitude = std::sqrt(path_power.milliwatts());
-    components.push_back({amplitude * tx_response(path.departure_azimuth) *
-                              rx_response(path.arrival_azimuth),
-                          path.length_m});
-  }
-  return phy::wideband_power(components, link, extra_loss);
-}
-
-}  // namespace
 
 namespace {
 
@@ -113,7 +87,7 @@ rf::DbmPower Scene::reflector_input(const MovrReflector& reflector) const {
   const auto paths =
       paths_view(ap_.node().position(), reflector.position());
   const auto& rx_array = reflector.front_end().rx_array();
-  return hop_power(
+  return phy::hop_power(
       ap_.node().tx_power(), *paths,
       [&](double az) { return ap_.node().response_toward(az); },
       [&](double az) {
@@ -131,7 +105,7 @@ Scene::ViaResult Scene::via_snr(const MovrReflector& reflector) const {
   const auto paths =
       paths_view(reflector.position(), headset_.node().position());
   const auto& tx_array = reflector.front_end().tx_array();
-  const rf::DbmPower relayed = hop_power(
+  const rf::DbmPower relayed = phy::hop_power(
       result.front_end.output, *paths,
       [&](double az) {
         return phy::array_response(tx_array, reflector.to_local(az));
@@ -175,7 +149,7 @@ rf::DbmPower Scene::backscatter_at_ap(const MovrReflector& reflector) const {
   const auto paths =
       paths_view(reflector.position(), ap_.node().position());
   const auto& tx_array = reflector.front_end().tx_array();
-  return hop_power(
+  return phy::hop_power(
       state.sideband_output, *paths,
       [&](double az) {
         return phy::array_response(tx_array, reflector.to_local(az));

@@ -7,7 +7,8 @@
 
 namespace movr::hw {
 
-LeakageModel::LeakageModel(const Config& config) : config_{config} {
+LeakageModel::LeakageModel(const Config& config)
+    : config_{config}, array_{config.array} {
   // Derive three stable ripple phases from the seed (splitmix-style).
   std::uint64_t z = config_.ripple_seed;
   for (double& phase : ripple_phase_) {
@@ -23,12 +24,10 @@ LeakageModel::LeakageModel(const Config& config) : config_{config} {
 rf::Decibels LeakageModel::coupling(double theta_tx_rad,
                                     double theta_rx_rad) const {
   // Realised gain of each steered array toward the coupling direction.
-  rf::PhasedArray tx{config_.array};
-  rf::PhasedArray rx{config_.array};
-  tx.steer(theta_tx_rad);
-  rx.steer(theta_rx_rad);
-  const double g_tx = tx.gain(config_.tx_coupling_angle).value();
-  const double g_rx = rx.gain(config_.rx_coupling_angle).value();
+  const double g_tx =
+      array_.gain_if_steered(theta_tx_rad, config_.tx_coupling_angle).value();
+  const double g_rx =
+      array_.gain_if_steered(theta_rx_rad, config_.rx_coupling_angle).value();
 
   // Near-field standing-wave ripple: deterministic in the two angles.
   const double a = config_.ripple_amplitude_db;

@@ -67,6 +67,9 @@ class LeakageModel {
 
  private:
   Config config_;
+  /// Both arrays' geometry (config_.array); coupling() evaluates it at the
+  /// two steerings without building a steered copy per call.
+  rf::PhasedArray array_;
   double ripple_phase_[3]{};
 };
 

@@ -3,6 +3,9 @@
 // to: "place radios, steer beams, read the SNR".
 #pragma once
 
+#include <algorithm>
+#include <array>
+#include <cmath>
 #include <complex>
 #include <span>
 #include <vector>
@@ -46,6 +49,56 @@ struct PathComponent {
 /// via-reflector hops in movr::core::Scene.
 rf::DbmPower wideband_power(std::span<const PathComponent> components,
                             const LinkConfig& config, rf::Decibels extra_loss);
+
+/// Number of frequency points wideband_power averages over (at least 1).
+int frequency_points(const LinkConfig& config);
+
+/// Wavelength of frequency point `k` of frequency_points(config): evenly
+/// spread across the channel, or the carrier for a single point.
+double sample_wavelength(const LinkConfig& config, int k);
+
+/// Unit phasor of a path's electrical phase at wavelength `lambda`, the
+/// only place that phase is defined.
+std::complex<double> path_phasor(double length_m, double lambda);
+
+/// wideband_power with the electrical phasors evaluated up front, for
+/// callers that sum many transmitters over one path set. `phasors` holds
+/// frequency_points(config) rows of bases.size() entries: row k, entry i
+/// is path_phasor(length of path i, sample_wavelength(config, k)). Same
+/// operations in the same order as the components form, so the same bits.
+rf::DbmPower wideband_power(std::span<const std::complex<double>> bases,
+                            std::span<const std::complex<double>> phasors,
+                            const LinkConfig& config, rf::Decibels extra_loss);
+
+/// Frequency-averaged power of a transmission at `tx_power` over `paths`,
+/// with arbitrary endpoint responses: `tx_response` and `rx_response` map
+/// a global azimuth to a complex far-field factor. Builds the components
+/// on the stack for up to kStackPaths paths, so a warmed caller does not
+/// touch the heap.
+template <typename FTx, typename FRx>
+rf::DbmPower hop_power(rf::DbmPower tx_power,
+                       std::span<const channel::Path> paths, FTx&& tx_response,
+                       FRx&& rx_response, const LinkConfig& config,
+                       rf::Decibels extra_loss) {
+  constexpr std::size_t kStackPaths = 32;
+  std::array<PathComponent, kStackPaths> stack;
+  std::vector<PathComponent> heap;
+  std::span<PathComponent> components{stack.data(),
+                                      std::min(paths.size(), kStackPaths)};
+  if (paths.size() > kStackPaths) {
+    heap.resize(paths.size());
+    components = heap;
+  }
+  for (std::size_t i = 0; i < paths.size(); ++i) {
+    const channel::Path& path = paths[i];
+    const rf::DbmPower path_power = tx_power - path.loss;
+    const double amplitude = std::sqrt(path_power.milliwatts());
+    components[i] = {amplitude * tx_response(path.departure_azimuth) *
+                         rx_response(path.arrival_azimuth),
+                     path.length_m};
+  }
+  return wideband_power(components, config, extra_loss);
+}
 
 /// Received power at `rx` for a transmission from `tx` over `paths`,
 /// with both arrays at their current steering. Multipath is summed

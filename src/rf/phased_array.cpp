@@ -24,26 +24,47 @@ PhasedArray::PhasedArray(const Config& config)
   steer(steering_);
 }
 
+double PhasedArray::progressive_phase(double steering) const {
+  // Element i is advanced so that contributions add in phase toward the
+  // steering angle. k*d in radians per element:
+  const double kd = kTwoPi * config_.spacing_wavelengths;
+  return -kd * std::cos(steering);
+}
+
 void PhasedArray::steer(double local_angle_rad) {
   steering_ = movr::geom::wrap_two_pi(local_angle_rad);
-  // Progressive phase: element i is advanced so that contributions add in
-  // phase toward the steering angle. k*d in radians per element:
-  const double kd = kTwoPi * config_.spacing_wavelengths;
-  const double progressive = -kd * std::cos(steering_);
+  const double progressive = progressive_phase(steering_);
   for (std::size_t i = 0; i < element_phases_.size(); ++i) {
     element_phases_[i] = shifter_.realize(progressive * static_cast<double>(i));
   }
 }
 
-std::complex<double> PhasedArray::field(double local_angle_rad) const {
+template <typename PhaseAt>
+std::complex<double> PhasedArray::field_with(double local_angle_rad,
+                                             PhaseAt&& phase_at) const {
   const double kd = kTwoPi * config_.spacing_wavelengths;
   const double psi = kd * std::cos(local_angle_rad);
   std::complex<double> sum{0.0, 0.0};
   for (std::size_t i = 0; i < element_phases_.size(); ++i) {
-    const double phase = psi * static_cast<double>(i) + element_phases_[i];
+    const double phase = psi * static_cast<double>(i) + phase_at(i);
     sum += std::polar(1.0, phase);
   }
   return sum / static_cast<double>(config_.elements);
+}
+
+std::complex<double> PhasedArray::field(double local_angle_rad) const {
+  return field_with(local_angle_rad,
+                    [this](std::size_t i) { return element_phases_[i]; });
+}
+
+Decibels PhasedArray::gain_if_steered(double steering_rad,
+                                      double local_angle_rad) const {
+  const double progressive =
+      progressive_phase(movr::geom::wrap_two_pi(steering_rad));
+  return gain(local_angle_rad,
+              field_with(local_angle_rad, [&](std::size_t i) {
+                return shifter_.realize(progressive * static_cast<double>(i));
+              }));
 }
 
 double PhasedArray::element_pattern_db(double local_angle_rad) const {
@@ -62,7 +83,12 @@ double PhasedArray::element_pattern_db(double local_angle_rad) const {
 }
 
 Decibels PhasedArray::gain(double local_angle_rad) const {
-  const double af_power = std::norm(field(local_angle_rad));
+  return gain(local_angle_rad, field(local_angle_rad));
+}
+
+Decibels PhasedArray::gain(double local_angle_rad,
+                           std::complex<double> field_at_angle) const {
+  const double af_power = std::norm(field_at_angle);
   const double af_db =
       10.0 * std::log10(std::max(af_power, 1e-12));
   const double af_floored = std::max(af_db, config_.scattering_floor.value());

@@ -57,6 +57,17 @@ class PhasedArray {
   /// and the scattering floor.
   Decibels gain(double local_angle_rad) const;
 
+  /// The same gain from `field_at_angle == field(local_angle_rad)`, already
+  /// evaluated — callers that need both the field and the gain pay for the
+  /// element sum once.
+  Decibels gain(double local_angle_rad,
+                std::complex<double> field_at_angle) const;
+
+  /// The gain toward `local_angle_rad` with the beam steered to
+  /// `steering_rad` instead of the current steering: bit for bit what a
+  /// copy would report after steer(steering_rad), without the copy.
+  Decibels gain_if_steered(double steering_rad, double local_angle_rad) const;
+
   /// Gain at the steering angle with ideal phases: element gain + 10 log N.
   Decibels peak_gain() const;
 
@@ -74,6 +85,13 @@ class PhasedArray {
   std::vector<double> element_phases_;   // realised phases, radians
 
   double element_pattern_db(double local_angle_rad) const;
+  /// Progressive per-element phase command that points the beam at the
+  /// (wrapped) local angle `steering`.
+  double progressive_phase(double steering) const;
+  /// The element sum toward an angle, element i carrying phase_at(i).
+  template <typename PhaseAt>
+  std::complex<double> field_with(double local_angle_rad,
+                                  PhaseAt&& phase_at) const;
 };
 
 }  // namespace movr::rf

@@ -16,11 +16,17 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <cmath>
+#include <random>
 #include <vector>
 
+#include <arena/interference.hpp>
 #include <channel/path_batch.hpp>
 #include <channel/path_solver.hpp>
 #include <core/channel_oracle.hpp>
+#include <core/gain_control.hpp>
+#include <geom/angle.hpp>
 #include <net/transport.hpp>
 #include <phy/mcs.hpp>
 #include <sim/simulator.hpp>
@@ -159,6 +165,83 @@ TEST(NetAllocRegression, WarmedSolveBatchIsHeapFree) {
   EXPECT_EQ(allocs, 0u) << "warmed solve_batch touched the heap " << allocs
                         << " time(s)";
   EXPECT_EQ(batch.queries(), endpoints.size());
+}
+
+TEST(NetAllocRegression, WarmedInterferencePenaltyIsHeapFree) {
+  // The arena's per-frame interference evaluation: 16 users on four corner
+  // APs, every third one riding a reflector, each victim against the other
+  // 15. Once the oracles hold every path set and the caller-owned scratch
+  // has grown, a pass over all victims must not touch the heap.
+  constexpr std::size_t kUsers = 16;
+  const geom::Vec2 corners[4] = {{0.4, 0.4}, {7.6, 0.4}, {7.6, 7.6}, {0.4, 7.6}};
+  core::Scene prototype{channel::Room{8.0, 8.0},
+                        core::ApRadio{corners[0], geom::deg_to_rad(45.0)},
+                        core::HeadsetRadio{{4.0, 4.0}, 0.0}};
+  prototype.add_reflector({4.0, 7.7}, geom::deg_to_rad(265.0));
+  prototype.add_reflector({7.7, 4.0}, geom::deg_to_rad(175.0));
+  prototype.add_reflector({0.3, 4.0}, geom::deg_to_rad(355.0));
+  prototype.add_reflector({4.0, 0.3}, geom::deg_to_rad(85.0));
+  std::mt19937_64 cal{3};
+  for (std::size_t r = 0; r < prototype.reflector_count(); ++r) {
+    core::MovrReflector& reflector = prototype.reflector(r);
+    reflector.front_end().steer_rx(
+        prototype.true_reflector_angle_to_ap(reflector));
+    reflector.front_end().steer_tx(
+        prototype.true_reflector_angle_to_headset(reflector));
+    prototype.ap().node().steer_toward(reflector.position());
+    core::GainController::run(reflector.front_end(),
+                              prototype.reflector_input(reflector), cal);
+  }
+
+  std::vector<core::Scene> scenes;
+  scenes.reserve(kUsers);
+  for (std::size_t u = 0; u < kUsers; ++u) {
+    core::Scene scene = prototype.clone();
+    scene.ap().node().set_position(corners[u % 4]);
+    scene.ap().node().set_orientation(
+        geom::deg_to_rad(45.0 + 90.0 * static_cast<double>(u % 4)));
+    const double t = static_cast<double>(u);
+    scene.headset().node().set_position(
+        {1.0 + std::fmod(1.7 * t, 6.0), 1.0 + std::fmod(2.9 * t, 6.0)});
+    scene.headset().node().face_toward(scene.ap().node().position());
+    scene.ap().node().steer_toward(scene.headset().node().position());
+    scenes.push_back(std::move(scene));
+  }
+  std::vector<std::vector<arena::Interferer>> aggressors(kUsers);
+  std::size_t via_reflector = 0;
+  for (std::size_t u = 0; u < kUsers; ++u) {
+    for (std::size_t v = 0; v < kUsers; ++v) {
+      if (v == u) {
+        continue;
+      }
+      arena::Interferer aggressor;
+      aggressor.scene = &scenes[v];
+      aggressor.via_reflector = v % 3 == 0;
+      aggressor.reflector = v % 4;
+      via_reflector += aggressor.via_reflector ? 1 : 0;
+      aggressors[u].push_back(aggressor);
+    }
+  }
+  ASSERT_GT(via_reflector, 0u);
+
+  const arena::InterferenceConfig config;
+  arena::InterferenceScratch scratch;
+  std::vector<double> warm(kUsers);
+  for (std::size_t u = 0; u < kUsers; ++u) {
+    warm[u] = arena::sinr_penalty_db(scenes[u], aggressors[u], config, scratch);
+  }
+
+  std::vector<double> armed(kUsers);
+  testing::alloc_counter_start();
+  for (std::size_t u = 0; u < kUsers; ++u) {
+    armed[u] =
+        arena::sinr_penalty_db(scenes[u], aggressors[u], config, scratch);
+  }
+  const std::uint64_t allocs = testing::alloc_counter_stop();
+  EXPECT_EQ(allocs, 0u) << "warmed sinr_penalty_db touched the heap "
+                        << allocs << " time(s)";
+  EXPECT_EQ(armed, warm);
+  EXPECT_GT(*std::max_element(armed.begin(), armed.end()), 0.0);
 }
 
 }  // namespace

@@ -1,10 +1,15 @@
 #include <rf/phased_array.hpp>
 
+#include <algorithm>
+#include <bit>
 #include <cmath>
+#include <complex>
+#include <cstdint>
 
 #include <gtest/gtest.h>
 
 #include <geom/angle.hpp>
+#include <phy/radio.hpp>
 #include <rf/phase_shifter.hpp>
 
 namespace movr::rf {
@@ -166,6 +171,107 @@ TEST(PhasedArray, MoreElementsNarrowerBeam) {
   PhasedArray big{big_cfg};
   EXPECT_LT(big.beamwidth_3db(), small.beamwidth_3db());
   EXPECT_GT(big.peak_gain().value(), small.peak_gain().value());
+}
+
+// --- bit-for-bit pins of gain() and phy::array_response ------------------
+//
+// The formulas below are the array model written out once more, evaluating
+// the field separately for the gain and the phase exactly as the original
+// one-argument gain() did. The library may evaluate the field once and
+// share it, but every result must stay the same double.
+
+std::uint64_t bits(double v) { return std::bit_cast<std::uint64_t>(v); }
+
+double reference_element_db(const PhasedArray::Config& c, double angle) {
+  const double a = movr::geom::wrap_two_pi(angle);
+  const double s = std::sin(a);
+  if (s <= 0.0) {
+    return c.element_gain.value() - c.front_to_back.value();
+  }
+  const double pattern_db = 10.0 * c.element_exponent * std::log10(s);
+  return c.element_gain.value() +
+         std::max(pattern_db, c.scattering_floor.value());
+}
+
+double reference_gain_db(const PhasedArray& array, double angle) {
+  const PhasedArray::Config& c = array.config();
+  const double af_power = std::norm(array.field(angle));
+  const double af_db = 10.0 * std::log10(std::max(af_power, 1e-12));
+  const double af_floored = std::max(af_db, c.scattering_floor.value());
+  const double array_db = 10.0 * std::log10(static_cast<double>(c.elements));
+  return array_db + af_floored + reference_element_db(c, angle);
+}
+
+std::complex<double> reference_response(const PhasedArray& array,
+                                        double angle) {
+  const double amplitude =
+      std::sqrt(Decibels{reference_gain_db(array, angle)}.linear());
+  const std::complex<double> f = array.field(angle);
+  const double mag = std::abs(f);
+  if (mag < 1e-12) {
+    return {amplitude, 0.0};
+  }
+  return amplitude * (f / mag);
+}
+
+void expect_pinned(const PhasedArray& array, double angle) {
+  const double gain = array.gain(angle).value();
+  EXPECT_EQ(bits(gain), bits(reference_gain_db(array, angle))) << angle;
+  EXPECT_EQ(bits(array.gain(angle, array.field(angle)).value()), bits(gain))
+      << angle;
+  const std::complex<double> got = phy::array_response(array, angle);
+  const std::complex<double> want = reference_response(array, angle);
+  EXPECT_EQ(bits(got.real()), bits(want.real())) << angle;
+  EXPECT_EQ(bits(got.imag()), bits(want.imag())) << angle;
+}
+
+TEST(PhasedArray, GainAndResponseMatchReferenceBitForBit) {
+  for (const int phase_bits : {0, 3}) {
+    PhasedArray::Config config;
+    config.phase_bits = phase_bits;
+    PhasedArray array{config};
+    for (const double steer_deg : {90.0, 40.0, 67.5, 121.0, 140.0, 250.0}) {
+      array.steer(deg_to_rad(steer_deg));
+      for (int i = 0; i < 720; ++i) {
+        // Half-degree grid plus an irrational offset, over the full circle
+        // (front sector, endfire and the back lobe).
+        expect_pinned(array, deg_to_rad(0.5 * i + 0.123456789));
+      }
+    }
+  }
+}
+
+TEST(PhasedArray, DeepNullTakesFlooredBranchBitForBit) {
+  // Ten analog elements at half-wavelength spacing steered to boresight:
+  // the element phases advance by 2*pi/10 per element toward
+  // cos(angle) = 0.2, so the ten phasors cancel to rounding noise.
+  PhasedArray array;
+  array.steer(kPi / 2.0);
+  const double null_angle = std::acos(0.2);
+  ASSERT_LT(std::abs(array.field(null_angle)), 1e-12)
+      << "the angle is not a deep null; the branch is not exercised";
+  expect_pinned(array, null_angle);
+  const std::complex<double> response = phy::array_response(array, null_angle);
+  EXPECT_EQ(response.imag(), 0.0);
+  EXPECT_GT(response.real(), 0.0);
+}
+
+TEST(PhasedArray, GainIfSteeredMatchesSteeredCopyBitForBit) {
+  for (const int phase_bits : {0, 3}) {
+    PhasedArray::Config config;
+    config.phase_bits = phase_bits;
+    const PhasedArray array{config};
+    for (const double steer : {0.3, 1.2, kPi / 2.0, 2.6, -0.7, 8.0}) {
+      PhasedArray copy{config};
+      copy.steer(steer);
+      for (int i = 0; i < 720; ++i) {
+        const double angle = deg_to_rad(0.5 * i + 0.123456789);
+        EXPECT_EQ(bits(array.gain_if_steered(steer, angle).value()),
+                  bits(copy.gain(angle).value()))
+            << steer << " " << angle;
+      }
+    }
+  }
 }
 
 }  // namespace
