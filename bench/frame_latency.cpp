@@ -16,6 +16,7 @@
 #include <cstdlib>
 #include <cstring>
 #include <limits>
+#include <optional>
 #include <string>
 
 #include <baseline/strategies.hpp>
@@ -77,13 +78,15 @@ void print_usage() {
 struct Row {
   const char* name;
   vr::QoeReport report;
+  /// Beam sweeps the NLOS arm ran; empty for the arms that never sweep.
+  std::optional<int> sweeps;
 };
 
 enum class Strategy { kMovr, kFixedBeam, kNlosSweep };
 
-vr::QoeReport run_strategy(Strategy kind, const vr::Session::Config& config,
-                           const vr::BlockageScript& script,
-                           sim::RngRegistry& rngs) {
+Row run_strategy(const char* name, Strategy kind,
+                 const vr::Session::Config& config,
+                 const vr::BlockageScript& script, sim::RngRegistry& rngs) {
   auto scene = bench::paper_scene({3.0, 2.2}, false);
   bench::steer_direct(scene);
   sim::Simulator simulator;
@@ -95,22 +98,23 @@ vr::QoeReport run_strategy(Strategy kind, const vr::Session::Config& config,
       vr::MovrStrategy strategy{simulator, scene, rngs.stream("mgr")};
       vr::Session session{simulator, scene,  strategy,
                           nullptr,   &script, config};
-      return session.run();
+      return {name, session.run(), std::nullopt};
     }
     case Strategy::kFixedBeam: {
       baseline::FixedBeamStrategy strategy{scene};
       vr::Session session{simulator, scene,  strategy,
                           nullptr,   &script, config};
-      return session.run();
+      return {name, session.run(), std::nullopt};
     }
     case Strategy::kNlosSweep: {
       baseline::NlosSweepStrategy strategy{simulator, scene};
       vr::Session session{simulator, scene,  strategy,
                           nullptr,   &script, config};
-      return session.run();
+      // Braced initialisers run in order: the count is read after the run.
+      return {name, session.run(), strategy.sweeps_performed()};
     }
   }
-  return {};
+  return {name, {}, std::nullopt};
 }
 
 }  // namespace
@@ -138,12 +142,12 @@ int main(int argc, char** argv) {
 
   const auto wall_start = std::chrono::steady_clock::now();
   std::vector<Row> rows;
-  rows.push_back({"MoVR (1 reflector)",
-                  run_strategy(Strategy::kMovr, config, script, rngs)});
-  rows.push_back({"fixed beam (WHDI)",
-                  run_strategy(Strategy::kFixedBeam, config, script, rngs)});
-  rows.push_back({"NLOS beam switching",
-                  run_strategy(Strategy::kNlosSweep, config, script, rngs)});
+  rows.push_back(run_strategy("MoVR (1 reflector)", Strategy::kMovr, config,
+                              script, rngs));
+  rows.push_back(run_strategy("fixed beam (WHDI)", Strategy::kFixedBeam,
+                              config, script, rngs));
+  rows.push_back(run_strategy("NLOS beam switching", Strategy::kNlosSweep,
+                              config, script, rngs));
   const double wall_s =
       std::chrono::duration<double>(std::chrono::steady_clock::now() -
                                     wall_start)
@@ -151,17 +155,20 @@ int main(int argc, char** argv) {
 
   bench::print_header(
       "Frame latency — standing blocker over 40% of the session (ms)");
-  std::printf("%-22s %8s %8s %8s %10s %8s %8s %8s\n", "strategy", "p50",
-              "p95", "p99", "misses", "retx", "drops", "dups");
+  std::printf("%-22s %8s %8s %8s %10s %8s %8s %8s %7s\n", "strategy",
+              "p50", "p95", "p99", "misses", "retx", "drops", "dups",
+              "sweeps");
   for (const Row& row : rows) {
     const net::TransportMetrics& m = *row.report.transport;
-    std::printf("%-22s %8.2f %8.2f %8.2f %6lu/%-4lu %8lu %8lu %8lu\n",
+    const std::string sweeps =
+        row.sweeps ? std::to_string(*row.sweeps) : std::string{"-"};
+    std::printf("%-22s %8.2f %8.2f %8.2f %6lu/%-4lu %8lu %8lu %8lu %7s\n",
                 row.name, m.p50_ms, m.p95_ms, m.p99_ms,
                 static_cast<unsigned long>(m.deadline_misses),
                 static_cast<unsigned long>(m.frames_emitted),
                 static_cast<unsigned long>(m.retransmits),
                 static_cast<unsigned long>(m.packets_dropped),
-                static_cast<unsigned long>(m.duplicates));
+                static_cast<unsigned long>(m.duplicates), sweeps.c_str());
   }
   std::printf("\n");
   for (const Row& row : rows) {
@@ -207,6 +214,9 @@ int main(int argc, char** argv) {
           .set("deadline_misses", m.deadline_misses)
           .set("retransmits", m.retransmits)
           .set("packets_dropped", m.packets_dropped);
+      if (row.sweeps) {
+        arm.set("sweeps_performed", *row.sweeps);
+      }
       arms.push(std::move(arm));
     }
     bench::Json doc = bench::Json::object();

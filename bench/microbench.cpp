@@ -15,6 +15,7 @@
 #include <cmath>
 #include <cstdio>
 #include <cstring>
+#include <iterator>
 #include <random>
 #include <string>
 #include <vector>
@@ -83,7 +84,8 @@ void BM_ArrayGain(benchmark::State& state) {
 BENCHMARK(BM_ArrayGain);
 
 // The complex far-field factor multipath summation uses: one element sum
-// feeds both the amplitude and the phase.
+// feeds both the amplitude and the phase. The angle changes every
+// iteration, so this is the response memo's miss path.
 void BM_ArrayResponse(benchmark::State& state) {
   rf::PhasedArray array;
   array.steer(deg_to_rad(75.0));
@@ -94,6 +96,20 @@ void BM_ArrayResponse(benchmark::State& state) {
   }
 }
 BENCHMARK(BM_ArrayResponse);
+
+// The memo's hit path: a few angles in turn under one steering, as a gain
+// ramp re-reads the same reflector input step after step.
+void BM_ArrayResponseRepeat(benchmark::State& state) {
+  rf::PhasedArray array;
+  array.steer(deg_to_rad(75.0));
+  const double angles[] = {0.4, 0.9, 1.3, 2.2};
+  std::size_t i = 0;
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(phy::array_response(array, angles[i]));
+    i = (i + 1) % std::size(angles);
+  }
+}
+BENCHMARK(BM_ArrayResponseRepeat);
 
 void BM_ArraySteer(benchmark::State& state) {
   rf::PhasedArray array;

@@ -1,6 +1,7 @@
 #include <core/gain_control.hpp>
 
 #include <algorithm>
+#include <utility>
 
 namespace movr::core {
 
@@ -9,6 +10,17 @@ GainController::Result GainController::run(hw::ReflectorFrontEnd& front_end,
                                            std::mt19937_64& rng,
                                            const Config& config) {
   Result result;
+  run(front_end, input, rng, config, result);
+  return result;
+}
+
+void GainController::run(hw::ReflectorFrontEnd& front_end, rf::DbmPower input,
+                         std::mt19937_64& rng, const Config& config,
+                         Result& result) {
+  std::vector<StepTrace> trace = std::move(result.trace);
+  trace.clear();
+  result = Result{};
+  result.trace = std::move(trace);
   const std::uint32_t max_code = front_end.max_gain_code();
   const auto step_cost =
       config.step_settle + config.sample_time * config.samples_per_step;
@@ -41,7 +53,7 @@ GainController::Result GainController::run(hw::ReflectorFrontEnd& front_end,
       front_end.set_gain_code(safe_code);
       result.final_code = safe_code;
       result.final_gain = front_end.amplifier_gain();
-      return result;
+      return;
     }
     previous_current = current;
   }
@@ -50,7 +62,6 @@ GainController::Result GainController::run(hw::ReflectorFrontEnd& front_end,
   // high enough, or the input is too weak to compress the amplifier).
   result.final_code = max_code;
   result.final_gain = front_end.amplifier_gain();
-  return result;
 }
 
 }  // namespace movr::core

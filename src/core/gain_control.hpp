@@ -57,6 +57,11 @@ class GainController {
   static Result run(hw::ReflectorFrontEnd& front_end, rf::DbmPower input,
                     std::mt19937_64& rng, const Config& config);
 
+  /// The same ramp into a caller-owned `result`, overwriting it and reusing
+  /// its trace's capacity: a warmed call does not touch the heap.
+  static void run(hw::ReflectorFrontEnd& front_end, rf::DbmPower input,
+                  std::mt19937_64& rng, const Config& config, Result& result);
+
   static Result run(hw::ReflectorFrontEnd& front_end, rf::DbmPower input,
                     std::mt19937_64& rng) {
     return run(front_end, input, rng, Config{});

@@ -6,13 +6,13 @@ namespace movr::phy {
 
 std::complex<double> array_response(const rf::PhasedArray& array,
                                     double local_angle) {
-  const std::complex<double> f = array.field(local_angle);
-  const double amplitude = std::sqrt(array.gain(local_angle, f).linear());
-  const double mag = std::abs(f);
+  const rf::PhasedArray::Response r = array.response(local_angle);
+  const double amplitude = std::sqrt(r.gain.linear());
+  const double mag = std::abs(r.field);
   if (mag < 1e-12) {
     return {amplitude, 0.0};  // deep null: floored gain, arbitrary phase
   }
-  return amplitude * (f / mag);
+  return amplitude * (r.field / mag);
 }
 
 std::complex<double> RadioNode::response_toward(double global_azimuth) const {

@@ -1,7 +1,11 @@
 #include <rf/phased_array.hpp>
 
 #include <algorithm>
+#include <array>
+#include <bit>
 #include <cmath>
+#include <cstdint>
+#include <memory>
 #include <stdexcept>
 
 #include <geom/angle.hpp>
@@ -10,10 +14,105 @@ namespace movr::rf {
 
 namespace {
 constexpr double kTwoPi = movr::geom::kTwoPi;
+
+// 64 slots of 40 bytes. At 128, movrbench's 32-user arena ran no faster
+// and its peak memory rose by more than 5%.
+constexpr unsigned kMemoBits = 6;
+constexpr std::size_t kMemoSlots = std::size_t{1} << kMemoBits;
+
+std::uint64_t bits_of(double v) { return std::bit_cast<std::uint64_t>(v); }
+double double_of(std::uint64_t b) { return std::bit_cast<double>(b); }
+
+std::size_t memo_slot(std::uint64_t steering, std::uint64_t angle) {
+  std::uint64_t h = angle ^ (steering * 0x9e3779b97f4a7c15ull);
+  h ^= h >> 31;
+  h *= 0xbf58476d1ce4e5b9ull;
+  return static_cast<std::size_t>(h >> (64 - kMemoBits));
+}
+}  // namespace
+
+struct PhasedArray::ResponseMemo::Table {
+  struct Slot {
+    std::atomic<std::uint64_t> steering;
+    std::atomic<std::uint64_t> angle;
+    std::atomic<std::uint64_t> field_re;
+    std::atomic<std::uint64_t> field_im;
+    std::atomic<std::uint64_t> gain;
+
+    void store(std::uint64_t s, std::uint64_t a, const Response& r) {
+      steering.store(s, std::memory_order_relaxed);
+      angle.store(a, std::memory_order_relaxed);
+      field_re.store(bits_of(r.field.real()), std::memory_order_relaxed);
+      field_im.store(bits_of(r.field.imag()), std::memory_order_relaxed);
+      gain.store(bits_of(r.gain.value()), std::memory_order_relaxed);
+    }
+  };
+
+  /// Every slot starts out holding the first entry computed — a real key
+  /// with its exact value — so an unwritten slot never answers for another
+  /// key and no empty marker is needed.
+  Table(std::uint64_t s, std::uint64_t a, const Response& r) {
+    for (Slot& slot : slots) {
+      slot.store(s, a, r);
+    }
+  }
+
+  /// Even when no write is in flight. A writer makes it odd, fills one
+  /// slot and makes it even again; a lookup that sees it odd or changed
+  /// counts a miss and recomputes, so a reader never returns a torn entry.
+  std::atomic<std::uint64_t> seq{0};
+  std::array<Slot, kMemoSlots> slots;
+};
+
+void PhasedArray::ResponseMemo::reset(Table* table) noexcept {
+  delete table_.exchange(table, std::memory_order_acq_rel);
+}
+
+template <typename Compute>
+PhasedArray::Response PhasedArray::ResponseMemo::lookup(
+    double steering, double local_angle_rad, Compute&& compute) const {
+  const std::uint64_t s = bits_of(steering);
+  const std::uint64_t a = bits_of(local_angle_rad);
+  Table* table = table_.load(std::memory_order_acquire);
+  if (table == nullptr) {
+    const Response value = compute();
+    auto fresh = std::make_unique<Table>(s, a, value);
+    if (table_.compare_exchange_strong(table, fresh.get(),
+                                       std::memory_order_release,
+                                       std::memory_order_relaxed)) {
+      fresh.release();
+    }
+    return value;
+  }
+  Table::Slot& slot = table->slots[memo_slot(s, a)];
+  const std::uint64_t seq = table->seq.load(std::memory_order_acquire);
+  if (seq % 2 == 0 && slot.steering.load(std::memory_order_relaxed) == s &&
+      slot.angle.load(std::memory_order_relaxed) == a) {
+    const Response hit{
+        {double_of(slot.field_re.load(std::memory_order_relaxed)),
+         double_of(slot.field_im.load(std::memory_order_relaxed))},
+        Decibels{double_of(slot.gain.load(std::memory_order_relaxed))}};
+    std::atomic_thread_fence(std::memory_order_acquire);
+    if (table->seq.load(std::memory_order_relaxed) == seq) {
+      return hit;
+    }
+  }
+  const Response value = compute();
+  std::uint64_t expected = seq;
+  if (seq % 2 == 0 &&
+      table->seq.compare_exchange_strong(expected, seq + 1,
+                                         std::memory_order_relaxed)) {
+    std::atomic_thread_fence(std::memory_order_release);
+    slot.store(s, a, value);
+    table->seq.store(seq + 2, std::memory_order_release);
+  }
+  return value;
 }
 
 PhasedArray::PhasedArray(const Config& config)
-    : config_{config}, shifter_{config.phase_bits} {
+    : config_{config},
+      shifter_{config.phase_bits},
+      array_db_{10.0 * std::log10(static_cast<double>(config.elements))} {
   if (config_.elements < 1) {
     throw std::invalid_argument{"PhasedArray: need at least one element"};
   }
@@ -57,14 +156,27 @@ std::complex<double> PhasedArray::field(double local_angle_rad) const {
                     [this](std::size_t i) { return element_phases_[i]; });
 }
 
+PhasedArray::Response PhasedArray::response(double local_angle_rad) const {
+  return memo_.lookup(steering_, local_angle_rad, [&] {
+    const std::complex<double> f = field(local_angle_rad);
+    return Response{f, gain(local_angle_rad, f)};
+  });
+}
+
 Decibels PhasedArray::gain_if_steered(double steering_rad,
                                       double local_angle_rad) const {
-  const double progressive =
-      progressive_phase(movr::geom::wrap_two_pi(steering_rad));
-  return gain(local_angle_rad,
-              field_with(local_angle_rad, [&](std::size_t i) {
-                return shifter_.realize(progressive * static_cast<double>(i));
-              }));
+  // steer() would store exactly these phases, so the entry is the one
+  // response() computes after steer(steering_rad): the table is shared.
+  const double steering = movr::geom::wrap_two_pi(steering_rad);
+  const auto compute = [&] {
+    const double progressive = progressive_phase(steering);
+    const std::complex<double> f =
+        field_with(local_angle_rad, [&](std::size_t i) {
+          return shifter_.realize(progressive * static_cast<double>(i));
+        });
+    return Response{f, gain(local_angle_rad, f)};
+  };
+  return memo_.lookup(steering, local_angle_rad, compute).gain;
 }
 
 double PhasedArray::element_pattern_db(double local_angle_rad) const {
@@ -83,7 +195,7 @@ double PhasedArray::element_pattern_db(double local_angle_rad) const {
 }
 
 Decibels PhasedArray::gain(double local_angle_rad) const {
-  return gain(local_angle_rad, field(local_angle_rad));
+  return response(local_angle_rad).gain;
 }
 
 Decibels PhasedArray::gain(double local_angle_rad,
@@ -92,15 +204,11 @@ Decibels PhasedArray::gain(double local_angle_rad,
   const double af_db =
       10.0 * std::log10(std::max(af_power, 1e-12));
   const double af_floored = std::max(af_db, config_.scattering_floor.value());
-  const double array_db =
-      10.0 * std::log10(static_cast<double>(config_.elements));
-  return Decibels{array_db + af_floored + element_pattern_db(local_angle_rad)};
+  return Decibels{array_db_ + af_floored + element_pattern_db(local_angle_rad)};
 }
 
 Decibels PhasedArray::peak_gain() const {
-  const double array_db =
-      10.0 * std::log10(static_cast<double>(config_.elements));
-  return Decibels{array_db + config_.element_gain.value()};
+  return Decibels{array_db_ + config_.element_gain.value()};
 }
 
 double PhasedArray::beamwidth_3db() const {

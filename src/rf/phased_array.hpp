@@ -12,6 +12,7 @@
 // the ground plane.
 #pragma once
 
+#include <atomic>
 #include <complex>
 #include <vector>
 
@@ -39,6 +40,12 @@ class PhasedArray {
     int phase_bits{0};
   };
 
+  /// What the array radiates toward one local angle at one steering.
+  struct Response {
+    std::complex<double> field;  ///< field(angle)
+    Decibels gain;               ///< gain(angle, field)
+  };
+
   PhasedArray() : PhasedArray(Config{}) {}
   explicit PhasedArray(const Config& config);
 
@@ -52,20 +59,25 @@ class PhasedArray {
 
   double steering() const { return steering_; }
 
+  /// Field and gain toward `local_angle_rad` with the current steering, bit
+  /// for bit what field() and gain(angle, field) compute, memoised by
+  /// (steering, angle) so a repeated query skips the element sum.
+  Response response(double local_angle_rad) const;
+
   /// Realised power gain (dBi) toward `local_angle_rad` with the current
   /// steering, including element pattern, array factor, quantisation error
-  /// and the scattering floor.
+  /// and the scattering floor. response(angle).gain.
   Decibels gain(double local_angle_rad) const;
 
   /// The same gain from `field_at_angle == field(local_angle_rad)`, already
-  /// evaluated — callers that need both the field and the gain pay for the
-  /// element sum once.
+  /// evaluated. Not memoised.
   Decibels gain(double local_angle_rad,
                 std::complex<double> field_at_angle) const;
 
   /// The gain toward `local_angle_rad` with the beam steered to
   /// `steering_rad` instead of the current steering: bit for bit what a
-  /// copy would report after steer(steering_rad), without the copy.
+  /// copy would report after steer(steering_rad), without the copy. Shares
+  /// response()'s memo.
   Decibels gain_if_steered(double steering_rad, double local_angle_rad) const;
 
   /// Gain at the steering angle with ideal phases: element gain + 10 log N.
@@ -75,14 +87,53 @@ class PhasedArray {
   double beamwidth_3db() const;
 
   /// Complex far-field amplitude (normalised to peak = 1) toward the angle —
-  /// exposed so the channel can sum multipath coherently.
+  /// exposed so the channel can sum multipath coherently. The raw element
+  /// sum, not memoised.
   std::complex<double> field(double local_angle_rad) const;
 
  private:
+  /// Direct-mapped memo of Response by the bit patterns of (wrapped
+  /// steering, local angle), allocated on first use (DESIGN.md §8.1). The
+  /// key holds everything an entry depends on besides the config, which an
+  /// array never changes, so steer() invalidates nothing. A copy starts
+  /// empty; a move carries the table along with the phases it was computed
+  /// under. Concurrent const lookups are safe (a table-wide seqlock), as
+  /// Scene's const queries are.
+  class ResponseMemo {
+   public:
+    ResponseMemo() = default;
+    ResponseMemo(const ResponseMemo&) noexcept {}
+    ResponseMemo& operator=(const ResponseMemo&) noexcept {
+      reset(nullptr);
+      return *this;
+    }
+    ResponseMemo(ResponseMemo&& other) noexcept
+        : table_{other.table_.exchange(nullptr)} {}
+    ResponseMemo& operator=(ResponseMemo&& other) noexcept {
+      reset(other.table_.exchange(nullptr));  // self-move keeps the table
+      return *this;
+    }
+    ~ResponseMemo() { reset(nullptr); }
+
+    /// The memoised value for the key, else `compute()`, stored.
+    template <typename Compute>
+    Response lookup(double steering, double local_angle_rad,
+                    Compute&& compute) const;
+
+   private:
+    struct Table;
+    void reset(Table* table) noexcept;
+    mutable std::atomic<Table*> table_{nullptr};
+  };
+
+  // Declared first, so an assignment empties the memo before it changes
+  // anything the entries were computed under.
+  ResponseMemo memo_;
   Config config_;
   PhaseShifter shifter_;
   double steering_{1.5707963267948966};  // boresight
   std::vector<double> element_phases_;   // realised phases, radians
+  double array_db_{0.0};                 // 10 log10(elements)
 
   double element_pattern_db(double local_angle_rad) const;
   /// Progressive per-element phase command that points the beam at the

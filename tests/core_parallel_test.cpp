@@ -7,6 +7,8 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <bit>
+#include <cstdint>
 #include <numeric>
 #include <stdexcept>
 #include <thread>
@@ -17,6 +19,7 @@
 #include <core/placement.hpp>
 #include <core/scene.hpp>
 #include <geom/angle.hpp>
+#include <rf/phased_array.hpp>
 
 namespace movr::core {
 namespace {
@@ -169,6 +172,54 @@ TEST(SharedOracle, ConcurrentConstQueriesAreSafe) {
   const auto stats = scene.oracle_stats();
   EXPECT_EQ(stats.queries, warm.queries + 800);  // 4 x 200 reader queries
   EXPECT_EQ(stats.misses, warm.misses);          // all of them cache hits
+}
+
+TEST(SharedArray, ConcurrentMemoLookupsMatchKernel) {
+  // PhasedArray's response memo is written from const lookups. Four threads
+  // query one cold array (racing to allocate the table, then to fill and
+  // evict colliding slots); every answer must still be the kernel's.
+  const auto bits = [](double v) { return std::bit_cast<std::uint64_t>(v); };
+  rf::PhasedArray::Config config;
+  config.phase_bits = 3;
+  rf::PhasedArray shared{config};
+  shared.steer(deg_to_rad(75.0));
+  const rf::PhasedArray& array = shared;
+  const double other_steering = deg_to_rad(115.0);
+  rf::PhasedArray reference{config};
+  reference.steer(other_steering);
+
+  std::vector<double> angles;
+  std::vector<std::uint64_t> want_gain;
+  std::vector<std::uint64_t> want_steered;
+  for (int i = 0; i < 300; ++i) {
+    const double angle = deg_to_rad(0.6 * i + 0.05);
+    angles.push_back(angle);
+    want_gain.push_back(bits(array.gain(angle, array.field(angle)).value()));
+    want_steered.push_back(
+        bits(reference.gain(angle, reference.field(angle)).value()));
+  }
+
+  std::atomic<int> mismatches{0};
+  std::vector<std::thread> readers;
+  for (int t = 0; t < 4; ++t) {
+    readers.emplace_back([&, t] {
+      for (int pass = 0; pass < 20; ++pass) {
+        for (std::size_t k = 0; k < angles.size(); ++k) {
+          const std::size_t i = (k * 7 + static_cast<std::size_t>(t)) %
+                                angles.size();
+          if (bits(array.gain(angles[i]).value()) != want_gain[i] ||
+              bits(array.gain_if_steered(other_steering, angles[i])
+                       .value()) != want_steered[i]) {
+            mismatches.fetch_add(1);
+          }
+        }
+      }
+    });
+  }
+  for (auto& r : readers) {
+    r.join();
+  }
+  EXPECT_EQ(mismatches.load(), 0);
 }
 
 }  // namespace

@@ -26,6 +26,7 @@
 #include <channel/path_solver.hpp>
 #include <core/channel_oracle.hpp>
 #include <core/gain_control.hpp>
+#include <core/scene.hpp>
 #include <geom/angle.hpp>
 #include <net/transport.hpp>
 #include <phy/mcs.hpp>
@@ -242,6 +243,44 @@ TEST(NetAllocRegression, WarmedInterferencePenaltyIsHeapFree) {
                         << allocs << " time(s)";
   EXPECT_EQ(armed, warm);
   EXPECT_GT(*std::max_element(armed.begin(), armed.end()), 0.0);
+}
+
+TEST(NetAllocRegression, WarmedGainControlRampIsHeapFree) {
+  // Calibration: read the reflector's input off the AP's beam, then ramp
+  // the gain code against it. The first pass allocates the arrays' response
+  // memos and the ramp's trace; the same pass again must not touch the heap.
+  core::Scene scene{channel::Room::paper_office(),
+                    core::ApRadio{{0.4, 0.4}, geom::deg_to_rad(45.0)},
+                    core::HeadsetRadio{{3.0, 2.0}, 0.0}};
+  core::MovrReflector& reflector =
+      scene.add_reflector({4.6, 4.6}, geom::deg_to_rad(225.0));
+  reflector.front_end().steer_rx(scene.true_reflector_angle_to_ap(reflector));
+  reflector.front_end().steer_tx(
+      scene.true_reflector_angle_to_headset(reflector));
+  scene.ap().node().steer_toward(reflector.position());
+
+  const core::GainController::Config config;
+  core::GainController::Result result;
+  std::mt19937_64 rng{5};
+  testing::alloc_counter_start();
+  core::GainController::run(reflector.front_end(),
+                            scene.reflector_input(reflector), rng, config,
+                            result);
+  const std::uint64_t cold_allocs = testing::alloc_counter_stop();
+  const core::GainController::Result cold = result;
+  ASSERT_GT(cold.trace.size(), 1u);
+
+  rng.seed(5);
+  testing::alloc_counter_start();
+  const rf::DbmPower input = scene.reflector_input(reflector);
+  core::GainController::run(reflector.front_end(), input, rng, config, result);
+  const std::uint64_t allocs = testing::alloc_counter_stop();
+  EXPECT_GT(cold_allocs, 0u) << "the cold pass should have allocated";
+  EXPECT_EQ(allocs, 0u) << "warmed reflector_input + GainController::run "
+                        << "touched the heap " << allocs << " time(s)";
+  EXPECT_EQ(result.final_code, cold.final_code);
+  EXPECT_EQ(result.knee_found, cold.knee_found);
+  EXPECT_EQ(result.trace.size(), cold.trace.size());
 }
 
 }  // namespace
