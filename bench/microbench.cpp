@@ -368,6 +368,40 @@ void BM_GainControlRamp(benchmark::State& state) {
 }
 BENCHMARK(BM_GainControlRamp);
 
+// One predictive-tier frame's forecast: a player walks toward a standing
+// person's shadow, and forecast() probes the LOS at the current and the
+// extrapolated positions. Each iteration first re-adds the person, as the
+// session's blockage script does every frame, so a path cache in front of
+// the probes starts every frame cold, as it does in a session.
+void BM_ForecastTick(benchmark::State& state) {
+  channel::Room room{5.0, 5.0};
+  const channel::Obstacle person = channel::make_person({1.7, 1.3});
+  room.add_obstacle(person);
+  core::Scene scene{std::move(room),
+                    core::ApRadio{{0.4, 0.4}, deg_to_rad(45.0)},
+                    core::HeadsetRadio{{3.6, 1.4}, 0.0}};
+  core::OcclusionForecaster forecaster;
+  const geom::Vec2 from{3.6, 1.4};
+  const geom::Vec2 velocity{-1.0, 1.3};
+  sim::TimePoint now{};
+  for (int i = 0; i < 40; ++i) {  // 0.44 s: the shadow is ~60 ms ahead
+    const sim::Duration t = sim::from_seconds(i * 0.0111);
+    const geom::Vec2 pos = from + velocity * sim::to_seconds(t);
+    now = sim::TimePoint{t};
+    scene.headset().node().set_position(pos);
+    forecaster.on_pose(now, pos);
+  }
+  bool window = false;
+  for (auto _ : state) {
+    scene.room().remove_obstacles("person");
+    scene.room().add_obstacle(person);
+    window = forecaster.forecast(scene, now).has_value();
+    benchmark::DoNotOptimize(window);
+  }
+  state.counters["window"] = window ? 1.0 : 0.0;
+}
+BENCHMARK(BM_ForecastTick);
+
 void BM_BeamSweep21x21(benchmark::State& state) {
   auto scene = make_scene();
   const auto codebook = rf::paper_sector_codebook(5.0);
@@ -472,7 +506,8 @@ int batch_speedup_summary(const std::string& json_path) {
   const auto grid = coverage_grid_endpoints(room);
   const std::size_t n = grid.size();
 
-  // Solver tier: the raw SoA kernel vs a scalar solve() loop.
+  // Solver tier: solve_batch into recycled SoA storage vs a scalar solve()
+  // loop. Both run the same per-query candidate collection.
   const channel::PathSolver solver{room};
   channel::PathBatch batch;
   channel::PathSolver::BatchWorkspace ws;

@@ -4,9 +4,8 @@
 // std::vector<Path> — fine for a handful of queries, hostile to a coverage
 // grid or a codebook sweep that asks thousands of questions per pose update.
 // These containers keep every field of every query/path in its own
-// contiguous array so the solver's inner loops touch flat memory (and the
-// compiler can vectorise them), and so a warmed batch round-trips with zero
-// heap allocations: clear() keeps capacity.
+// contiguous array, recycled across calls, so a warmed batch round-trips
+// with zero heap allocations: clear() keeps capacity.
 //
 // Layout contract (documented in DESIGN.md §11):
 //  - EndpointBatch: query i is (a(i), b(i)); ax/ay/bx/by are parallel arrays.
@@ -56,11 +55,6 @@ class EndpointBatch {
 
   geom::Vec2 a(std::size_t i) const { return {ax_[i], ay_[i]}; }
   geom::Vec2 b(std::size_t i) const { return {bx_[i], by_[i]}; }
-
-  const double* ax() const { return ax_.data(); }
-  const double* ay() const { return ay_.data(); }
-  const double* bx() const { return bx_.data(); }
-  const double* by() const { return by_.data(); }
 
   /// Bytes of backing storage currently owned (capacity, not size).
   std::size_t arena_bytes() const {

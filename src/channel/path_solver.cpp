@@ -81,9 +81,7 @@ PathSolver::Candidate PathSolver::los_candidate(geom::Vec2 source,
   c.length_m = d.norm();
   c.departure = d.heading();
   c.arrival = (-d).heading();
-  const rf::Decibels obstruction =
-      room_->obstacles().empty() ? rf::Decibels{0.0}
-                                 : leg_obstruction(*room_, source, destination);
+  const rf::Decibels obstruction = los_obstruction(source, destination);
   const rf::Decibels loss =
       rf::free_space_path_loss(c.length_m, config_.carrier_hz) +
       rf::atmospheric_absorption(c.length_m, config_.carrier_hz) + obstruction;
@@ -235,6 +233,13 @@ Path PathSolver::materialize(const Candidate& c) {
   return path;
 }
 
+rf::Decibels PathSolver::los_obstruction(geom::Vec2 source,
+                                         geom::Vec2 destination) const {
+  return room_->obstacles().empty()
+             ? rf::Decibels{0.0}
+             : leg_obstruction(*room_, source, destination);
+}
+
 Path PathSolver::line_of_sight(geom::Vec2 source,
                                geom::Vec2 destination) const {
   return materialize(los_candidate(source, destination));
@@ -257,79 +262,10 @@ std::vector<Path> PathSolver::solve(geom::Vec2 source,
 void PathSolver::solve_batch(const EndpointBatch& batch, PathBatch& out,
                              BatchWorkspace& ws) const {
   out.clear();
-  const std::size_t n = batch.size();
-  if (n == 0) {
-    return;
-  }
-  const std::size_t nwalls = room_->walls().size();
-  const bool no_obstacles = room_->obstacles().empty();
-  const bool first_order = config_.max_bounces >= 1 && nwalls > 0;
-  const bool second_order = config_.max_bounces >= 2 && nwalls > 1;
-
-  // Mirror-unfolding prepass over the batch's contiguous coordinate arrays:
-  // one image per (wall, query), one composed image per (ordered wall pair,
-  // query). Each image is the output of the same Mirror::reflect the scalar
-  // path calls, so downstream candidate math sees identical inputs.
-  if (first_order) {
-    ws.first_images.resize(nwalls * n);
-    const double* ax = batch.ax();
-    const double* ay = batch.ay();
-    for (std::size_t w = 0; w < nwalls; ++w) {
-      const Mirror mirror = mirrors_[w];
-      geom::Vec2* row = ws.first_images.data() + w * n;
-      for (std::size_t q = 0; q < n; ++q) {
-        row[q] = mirror.reflect({ax[q], ay[q]});
-      }
-    }
-  }
-  if (second_order) {
-    ws.second_images.resize(nwalls * nwalls * n);
-    for (std::size_t i = 0; i < nwalls; ++i) {
-      const geom::Vec2* image1_row = ws.first_images.data() + i * n;
-      for (std::size_t j = 0; j < nwalls; ++j) {
-        if (i == j) {
-          continue;
-        }
-        const Mirror mirror = mirrors_[j];
-        geom::Vec2* row = ws.second_images.data() + (i * nwalls + j) * n;
-        for (std::size_t q = 0; q < n; ++q) {
-          row[q] = mirror.reflect(image1_row[q]);
-        }
-      }
-    }
-  }
-
   ws.candidates.reserve(max_candidates());
-  for (std::size_t q = 0; q < n; ++q) {
-    const geom::Vec2 source = batch.a(q);
-    const geom::Vec2 destination = batch.b(q);
+  for (std::size_t q = 0; q < batch.size(); ++q) {
     ws.candidates.clear();
-    ws.candidates.push_back(los_candidate(source, destination));
-    if (first_order) {
-      for (std::size_t i = 0; i < nwalls; ++i) {
-        Candidate c;
-        if (first_order_candidate(i, ws.first_images[i * n + q], source,
-                                  destination, no_obstacles, c)) {
-          ws.candidates.push_back(c);
-        }
-      }
-    }
-    if (second_order) {
-      for (std::size_t i = 0; i < nwalls; ++i) {
-        const geom::Vec2 image1 = ws.first_images[i * n + q];
-        for (std::size_t j = 0; j < nwalls; ++j) {
-          if (i == j) {
-            continue;
-          }
-          Candidate c;
-          if (second_order_candidate(i, j, image1,
-                                     ws.second_images[(i * nwalls + j) * n + q],
-                                     source, destination, no_obstacles, c)) {
-            ws.candidates.push_back(c);
-          }
-        }
-      }
-    }
+    collect_candidates(batch.a(q), batch.b(q), ws.candidates);
     order_and_trim(ws.candidates);
     for (const Candidate& c : ws.candidates) {
       out.append_path(c.departure, c.arrival, c.length_m, c.loss_db,

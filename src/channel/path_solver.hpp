@@ -8,19 +8,19 @@
 // wall takes effect on the very next call, with no rebuild. When the room
 // has no obstacles the per-leg obstruction checks are skipped entirely.
 //
-// Two query shapes share one evaluation core:
+// Three query shapes share one evaluation core:
 //  - solve(src, dst): the scalar API, returns an AoS std::vector<Path>.
-//  - solve_batch(batch, out, ws): many endpoint pairs at once. Mirror
-//    unfolding runs as a prepass over the batch's contiguous coordinate
-//    arrays (one image per wall x query, one per ordered wall pair x query),
-//    then per-query candidate assembly reuses the *same* helper functions as
-//    the scalar path — which is what makes the batch results bit-identical
-//    to a scalar loop (the differential tests assert this).
+//  - solve_batch(batch, out, ws): many endpoint pairs at once, appended to
+//    recycled SoA storage. Each query runs the same candidate collection as
+//    solve(), which is what makes the batch results bit-identical to a
+//    scalar loop (the differential tests assert this).
+//  - los_obstruction(src, dst): only the direct leg's obstruction, for
+//    callers that ask "is the line of sight blocked?" and nothing else.
 //
-// Thread-safety: solve(), solve_batch() and line_of_sight() are const and
-// touch no mutable solver state; any number of threads may query one solver
-// concurrently as long as nobody mutates the bound Room at the same time and
-// each thread brings its own BatchWorkspace.
+// Thread-safety: solve(), solve_batch(), line_of_sight() and
+// los_obstruction() are const and touch no mutable solver state; any number
+// of threads may query one solver concurrently as long as nobody mutates the
+// bound Room at the same time and each thread brings its own BatchWorkspace.
 #pragma once
 
 #include <cstddef>
@@ -61,14 +61,10 @@ class PathSolver {
   /// solve performs zero heap allocations of its own.
   struct BatchWorkspace {
     std::vector<Candidate> candidates;
-    std::vector<geom::Vec2> first_images;   // [wall][query], row-major
-    std::vector<geom::Vec2> second_images;  // [wall i][wall j][query]
 
     /// Bytes of backing storage currently owned (capacity, not size).
     std::size_t arena_bytes() const {
-      return candidates.capacity() * sizeof(Candidate) +
-             (first_images.capacity() + second_images.capacity()) *
-                 sizeof(geom::Vec2);
+      return candidates.capacity() * sizeof(Candidate);
     }
   };
 
@@ -94,6 +90,13 @@ class PathSolver {
   /// Just the LOS path (present even when obstructed — its `obstruction`
   /// field says by how much).
   Path line_of_sight(geom::Vec2 source, geom::Vec2 destination) const;
+
+  /// Obstruction of the straight source -> destination leg: bit for bit the
+  /// `obstruction` that solve()'s LOS path carries whenever that path
+  /// survives the dynamic-range trim (the LOS candidate reads it from here).
+  /// Heap-free; no image, sort or trim work.
+  rf::Decibels los_obstruction(geom::Vec2 source,
+                               geom::Vec2 destination) const;
 
   /// Upper bound on candidates per query (LOS + per-wall + per-wall-pair),
   /// for sizing caller-side reserves.
@@ -126,9 +129,8 @@ class PathSolver {
   void build_images();
 
   // Shared candidate evaluation — the single source of truth for path math.
-  // Both solve() and solve_batch() call these, so their results cannot
-  // diverge. The image points are passed in (computed inline by the scalar
-  // path, by the SoA prepass in the batch path) from the same reflect().
+  // Both solve() and solve_batch() reach these through collect_candidates,
+  // so their results cannot diverge.
   Candidate los_candidate(geom::Vec2 source, geom::Vec2 destination) const;
   bool first_order_candidate(std::size_t wall, geom::Vec2 image,
                              geom::Vec2 source, geom::Vec2 destination,

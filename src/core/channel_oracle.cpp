@@ -47,18 +47,18 @@ ChannelOracle::Key ChannelOracle::make_key(geom::Vec2 a, geom::Vec2 b) const {
              round_away(b.y * s)};
 }
 
-bool ChannelOracle::PathCache::place(const Key& key, std::uint64_t hash,
+void ChannelOracle::PathCache::place(const Key& key, std::uint64_t hash,
                                      PathsView view) {
   std::size_t i = static_cast<std::size_t>(hash) & mask_;
   while (slots_[i].view != nullptr) {
     if (slots_[i].key == key) {
-      return false;  // existing entry wins
+      return;  // existing entry wins
     }
     i = (i + 1) & mask_;
   }
   slots_[i].key = key;
   slots_[i].view = std::move(view);
-  return true;
+  occupied_.push_back(i);
 }
 
 void ChannelOracle::PathCache::insert(const Key& key, std::uint64_t hash,
@@ -66,26 +66,25 @@ void ChannelOracle::PathCache::insert(const Key& key, std::uint64_t hash,
   if (slots_.empty()) {
     slots_.resize(1024);
     mask_ = slots_.size() - 1;
-  } else if ((size_ + 1) * 4 > slots_.size() * 3) {  // max load factor 3/4
+  } else if ((size() + 1) * 4 > slots_.size() * 3) {  // max load factor 3/4
     std::vector<Slot> old = std::move(slots_);
     slots_.assign(old.size() * 2, Slot{});
     mask_ = slots_.size() - 1;
+    occupied_.clear();
     for (Slot& s : old) {
       if (s.view != nullptr) {
         place(s.key, hash_key(s.key), std::move(s.view));
       }
     }
   }
-  if (place(key, hash, std::move(view))) {
-    ++size_;
-  }
+  place(key, hash, std::move(view));
 }
 
 void ChannelOracle::PathCache::clear() {
-  for (Slot& s : slots_) {
-    s.view = nullptr;
+  for (const std::size_t i : occupied_) {
+    slots_[i].view = nullptr;
   }
-  size_ = 0;
+  occupied_.clear();
 }
 
 void ChannelOracle::drop_cache_locked() const {

@@ -133,8 +133,9 @@ class ChannelOracle {
   /// erases individual entries — invalidation drops the whole table — so
   /// linear probing needs no tombstones and a warm probe is one contiguous
   /// scan, measurably faster than unordered_map's bucket chains in the
-  /// query_batch hot loop. clear() nulls the views but keeps the slot
-  /// array, so a re-warmed cache re-fills without rehashing.
+  /// query_batch hot loop. The table remembers which slots it filled, so
+  /// clear() nulls only those: it costs O(entries), not O(slots), and keeps
+  /// the slot array, so a re-warmed cache re-fills without rehashing.
   class PathCache {
    public:
     /// The stored view, or nullptr when absent. The pointer is invalidated
@@ -155,7 +156,7 @@ class ChannelOracle {
     /// Inserts unless the key is already present (the existing entry wins,
     /// like unordered_map::emplace).
     void insert(const Key& key, std::uint64_t hash, PathsView view);
-    std::size_t size() const { return size_; }
+    std::size_t size() const { return occupied_.size(); }
     void clear();
 
    private:
@@ -164,11 +165,12 @@ class ChannelOracle {
       PathsView view{};  // nullptr marks an empty slot
     };
 
-    bool place(const Key& key, std::uint64_t hash, PathsView view);
+    void place(const Key& key, std::uint64_t hash, PathsView view);
 
     std::vector<Slot> slots_;
     std::size_t mask_{0};
-    std::size_t size_{0};
+    /// Indices of the filled slots, one per entry, in fill order.
+    std::vector<std::size_t> occupied_;
   };
 
   static std::uint64_t hash_key(const Key& k);

@@ -2,22 +2,31 @@
 
 #include <algorithm>
 #include <cmath>
+#include <stdexcept>
 
-#include <channel/path.hpp>
+#include <channel/path_solver.hpp>
 
 namespace movr::core {
 
+OcclusionForecaster::OcclusionForecaster(Config config)
+    : config_{config},
+      tracker_{config.tracker},
+      chaos_rng_{config.chaos_seed} {
+  // los_blocked reads the LOS leg even when solve() would have trimmed the
+  // LOS path; the two agree only while a trimmed LOS (obstruction above
+  // about the dynamic range) also reads as blocked.
+  if (!(config_.blocked_threshold_db <
+        channel::PathSolver::Config{}.dynamic_range.value())) {
+    throw std::invalid_argument{
+        "OcclusionForecaster: blocked_threshold_db must be below the path "
+        "solver's dynamic range"};
+  }
+}
+
 bool OcclusionForecaster::los_blocked(const Scene& scene,
                                       geom::Vec2 headset) const {
-  const geom::Vec2 ap = scene.ap().node().position();
-  for (const channel::Path& path : scene.paths_between(ap, headset)) {
-    if (path.is_los()) {
-      return path.is_blocked(config_.blocked_threshold_db);
-    }
-  }
-  // No LOS path at all (fully absorbed / outside the solver's loss cap):
-  // that is as blocked as it gets.
-  return true;
+  return scene.los_obstruction(scene.ap().node().position(), headset)
+             .value() > config_.blocked_threshold_db;
 }
 
 std::optional<LinkRiskWindow> OcclusionForecaster::forecast(

@@ -5,7 +5,7 @@
 // knowledge should drive the link instead. This forecaster extrapolates the
 // headset trajectory (PredictiveTracker's velocity fit over the recent pose
 // history) and walks the predicted positions against the room's obstacle
-// geometry via the Scene's memoised ChannelOracle: if the direct AP beam is
+// geometry via the Scene's line-of-sight probe: if the direct AP beam is
 // clear *now* but a predicted position a few tens of ms ahead has its LOS
 // obstructed, it emits a LinkRiskWindow — consumed by LinkManager (proactive
 // handover), RedundancyController (pre-armed FEC) and the transport
@@ -53,7 +53,9 @@ class OcclusionForecaster {
     /// blockage may come is not motion-induced, so no forecast is made.
     double min_speed_mps{0.05};
     /// LOS obstruction above this many dB counts as blocked (matches
-    /// channel::Path::is_blocked's default).
+    /// channel::Path::is_blocked's default). Must stay below the path
+    /// solver's dynamic range (DESIGN.md §10.1); the constructor rejects a
+    /// config that breaks this.
     double blocked_threshold_db{3.0};
     /// Minimum pose history before any forecast is attempted. Combined
     /// with PredictiveTracker::has_velocity_fit this is the "no
@@ -70,10 +72,9 @@ class OcclusionForecaster {
   };
 
   OcclusionForecaster() : OcclusionForecaster{Config{}} {}
-  explicit OcclusionForecaster(Config config)
-      : config_{config},
-        tracker_{config.tracker},
-        chaos_rng_{config.chaos_seed} {}
+  /// Throws std::invalid_argument unless blocked_threshold_db is below the
+  /// path solver's default dynamic range, which every Scene solves with.
+  explicit OcclusionForecaster(Config config);
 
   const Config& config() const { return config_; }
 
@@ -93,6 +94,12 @@ class OcclusionForecaster {
 
   const PredictiveTracker& tracker() const { return tracker_; }
 
+  /// Is the direct AP -> `headset` line of sight obstructed by more than
+  /// blocked_threshold_db in the scene's current room? Answered from the
+  /// LOS leg alone (Scene::los_obstruction): no multipath solve, no oracle
+  /// state touched, no heap.
+  bool los_blocked(const Scene& scene, geom::Vec2 headset) const;
+
   struct Counters {
     long forecasts{0};       ///< forecast() calls
     long windows_issued{0};  ///< non-nullopt results (post-chaos)
@@ -108,8 +115,6 @@ class OcclusionForecaster {
   }
 
  private:
-  bool los_blocked(const Scene& scene, geom::Vec2 headset) const;
-
   Config config_;
   PredictiveTracker tracker_;
   std::mt19937_64 chaos_rng_;

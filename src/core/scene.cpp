@@ -10,8 +10,10 @@ namespace movr::core {
 namespace {
 
 ChannelOracle::Config oracle_config(const Scene::Config& config) {
+  // Default bounce order and dynamic range: OcclusionForecaster checks its
+  // blocked threshold against the default dynamic range.
   ChannelOracle::Config oracle;
-  oracle.solver = {config.link.carrier_hz, 2, rf::Decibels{60.0}};
+  oracle.solver.carrier_hz = config.link.carrier_hz;
   return oracle;
 }
 
@@ -55,6 +57,10 @@ MovrReflector& Scene::add_reflector(geom::Vec2 position,
 std::vector<channel::Path> Scene::paths_between(geom::Vec2 a,
                                                 geom::Vec2 b) const {
   return oracle().paths_between(a, b);
+}
+
+rf::Decibels Scene::los_obstruction(geom::Vec2 a, geom::Vec2 b) const {
+  return oracle().solver().los_obstruction(a, b);
 }
 
 ChannelOracle::PathsView Scene::paths_view(geom::Vec2 a, geom::Vec2 b) const {

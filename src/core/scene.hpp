@@ -69,6 +69,12 @@ class Scene {
   /// immediately.
   std::vector<channel::Path> paths_between(geom::Vec2 a, geom::Vec2 b) const;
 
+  /// Obstruction of the straight a -> b leg with the current room state:
+  /// bit for bit the `obstruction` of the LOS path paths_between(a, b)
+  /// returns whenever that path survives the dynamic-range trim. Uncached
+  /// and heap-free (PathSolver::los_obstruction); touches no oracle state.
+  rf::Decibels los_obstruction(geom::Vec2 a, geom::Vec2 b) const;
+
   /// Borrowed view of the same answer — no path copying on a warm cache
   /// hit. All of the scene's own physics queries go through this.
   ChannelOracle::PathsView paths_view(geom::Vec2 a, geom::Vec2 b) const;

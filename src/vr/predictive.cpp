@@ -1,19 +1,6 @@
 #include <vr/predictive.hpp>
 
-#include <channel/path.hpp>
-
 namespace movr::vr {
-
-bool PredictiveMovrStrategy::los_actually_blocked() const {
-  const geom::Vec2 ap = scene_.ap().node().position();
-  const geom::Vec2 headset = scene_.headset().node().position();
-  for (const channel::Path& path : scene_.paths_between(ap, headset)) {
-    if (path.is_los()) {
-      return path.is_blocked(config_.forecaster.blocked_threshold_db);
-    }
-  }
-  return true;
-}
 
 rf::Decibels PredictiveMovrStrategy::on_frame() {
   const sim::TimePoint now = simulator_.now();
@@ -34,7 +21,8 @@ rf::Decibels PredictiveMovrStrategy::on_frame() {
       window_open_ = true;
       window_hit_ = false;
     }
-    if (los_actually_blocked()) {
+    // Ground truth: the headset's true position, without the pose bias.
+    if (forecaster_.los_blocked(scene_, scene_.headset().node().position())) {
       window_hit_ = true;
     }
   } else if (window_open_) {

@@ -69,9 +69,6 @@ class PredictiveMovrStrategy final : public LinkStrategy {
   const core::OcclusionForecaster& forecaster() const { return forecaster_; }
 
  private:
-  /// Ground truth: is the direct AP->headset LOS actually obstructed now?
-  bool los_actually_blocked() const;
-
   sim::Simulator& simulator_;
   core::Scene& scene_;
   Config config_;

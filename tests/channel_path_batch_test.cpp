@@ -1,7 +1,7 @@
-// Differential suite for the SoA batch kernel: PathSolver::solve_batch must
+// Differential suite for the batch solver: PathSolver::solve_batch must
 // be bit-identical to a scalar solve() loop over the same endpoint pairs —
 // same surviving paths, same order, every field equal to the last bit. The
-// batch path shares the scalar path's candidate helpers by construction;
+// batch path shares the scalar path's candidate collection by construction;
 // these tests are the tripwire for any future divergence (a reordered sum,
 // a contracted FMA, a different trim rule).
 #include <channel/path_batch.hpp>

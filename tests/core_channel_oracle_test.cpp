@@ -3,6 +3,8 @@
 #include <gtest/gtest.h>
 
 #include <random>
+#include <utility>
+#include <vector>
 
 #include <core/scene.hpp>
 #include <geom/angle.hpp>
@@ -147,6 +149,55 @@ TEST(ChannelOracle, SizeCapEvictsButStaysCorrect) {
                       channel::PathSolver{room}.solve(a, b));
   }
   EXPECT_GT(oracle.stats().invalidations, 0u);  // the cap fired
+}
+
+TEST(ChannelOracle, ClearRefillAndRehashMatchFreshSolves) {
+  // clear() nulls only the slots it filled, across rehashes too. Fill past
+  // the first rehash (1024 slots, load 3/4), invalidate, refill with a
+  // different key set past the next rehash, invalidate again, and check
+  // after every round that each answer equals a fresh solve and that no
+  // key survived a clear. The size cap sits above the largest round, so
+  // the only drops are the room's revision bumps, two per round: a size
+  // that miscounted entries across a rehash would trip the cap.
+  channel::Room room{6.0, 5.0};
+  ChannelOracle::Config config;
+  config.max_entries = 2000;
+  const ChannelOracle oracle{room, config};
+  std::mt19937_64 rng{61};
+  const auto points = [&](std::size_t n) {
+    std::vector<std::pair<Vec2, Vec2>> out;
+    for (std::size_t i = 0; i < n; ++i) {
+      out.emplace_back(room.random_interior_point(rng, 0.3),
+                       room.random_interior_point(rng, 0.3));
+    }
+    return out;
+  };
+  for (const std::size_t n : {900u, 40u, 1700u, 3u, 800u}) {
+    room.add_obstacle(
+        channel::make_person(room.random_interior_point(rng, 0.8)));
+    const channel::PathSolver fresh{room};
+    const auto pairs = points(n);
+    const auto before = oracle.stats();
+    for (const auto& [a, b] : pairs) {
+      expect_same_paths(oracle.paths_between(a, b), fresh.solve(a, b));
+    }
+    // Every key was new since the last clear: nothing may have survived it.
+    EXPECT_EQ(oracle.stats().misses - before.misses, n);
+    for (const auto& [a, b] : pairs) {
+      expect_same_paths(oracle.paths_between(a, b), fresh.solve(a, b));
+    }
+    EXPECT_EQ(oracle.stats().hits - before.hits, n);
+    // Ask the earlier round's keys again after this clear: misses.
+    room.remove_obstacles("person");
+    const channel::PathSolver cleared{room};
+    const auto again = oracle.stats();
+    for (std::size_t i = 0; i < pairs.size(); i += 7) {
+      expect_same_paths(oracle.paths_between(pairs[i].first, pairs[i].second),
+                        cleared.solve(pairs[i].first, pairs[i].second));
+    }
+    EXPECT_EQ(oracle.stats().hits, again.hits);
+  }
+  EXPECT_EQ(oracle.stats().invalidations, 10u);
 }
 
 TEST(ChannelOracle, SceneDifferentialAgainstFreshScenes) {

@@ -2,7 +2,10 @@
 
 #include <gtest/gtest.h>
 
+#include <stdexcept>
+
 #include <channel/obstacle.hpp>
+#include <channel/path_solver.hpp>
 #include <channel/room.hpp>
 #include <core/ap.hpp>
 #include <core/headset.hpp>
@@ -77,6 +80,22 @@ TEST(OcclusionForecaster, ForecastsApproachingShadow) {
     }
   }
   EXPECT_FALSE(blocked_now);
+}
+
+TEST(OcclusionForecaster, RejectsThresholdAtOrAboveDynamicRange) {
+  // los_blocked answers from the LOS leg alone; it agrees with a full
+  // solve only while a LOS trimmed by the solver's dynamic range also
+  // reads as blocked, i.e. while the threshold sits below that range.
+  const double range = channel::PathSolver::Config{}.dynamic_range.value();
+  for (const double threshold : {range, range + 15.0, 1e9}) {
+    auto config = noiseless();
+    config.blocked_threshold_db = threshold;
+    EXPECT_THROW(OcclusionForecaster{config}, std::invalid_argument)
+        << "threshold " << threshold;
+  }
+  auto config = noiseless();
+  config.blocked_threshold_db = range - 1.0;
+  EXPECT_NO_THROW(OcclusionForecaster{config});
 }
 
 TEST(OcclusionForecaster, StationaryPlayerNoWindow) {

@@ -22,10 +22,12 @@
 #include <vector>
 
 #include <arena/interference.hpp>
+#include <channel/obstacle.hpp>
 #include <channel/path_batch.hpp>
 #include <channel/path_solver.hpp>
 #include <core/channel_oracle.hpp>
 #include <core/gain_control.hpp>
+#include <core/occlusion_forecaster.hpp>
 #include <core/scene.hpp>
 #include <geom/angle.hpp>
 #include <net/transport.hpp>
@@ -147,7 +149,7 @@ TEST(NetAllocRegression, WarmedOracleQueryBatchIsHeapFree) {
 }
 
 TEST(NetAllocRegression, WarmedSolveBatchIsHeapFree) {
-  // The SoA kernel itself (no cache in front): once the output batch and
+  // The batch solver itself (no cache in front): once the output batch and
   // workspace are warmed, re-solving the same endpoints is allocation-free.
   const channel::Room room = channel::Room::paper_office();
   const channel::PathSolver solver{room};
@@ -281,6 +283,41 @@ TEST(NetAllocRegression, WarmedGainControlRampIsHeapFree) {
   EXPECT_EQ(result.final_code, cold.final_code);
   EXPECT_EQ(result.knee_found, cold.knee_found);
   EXPECT_EQ(result.trace.size(), cold.trace.size());
+}
+
+TEST(NetAllocRegression, WarmedForecastIsHeapFree) {
+  // The predictive tier's per-frame check: a player walks toward a standing
+  // person's shadow and the forecaster probes the LOS at the predicted
+  // positions. Only forecast() is armed: the tracker's pose history is a
+  // deque, and on_pose() may grow it now and then.
+  channel::Room room{5.0, 5.0};
+  room.add_obstacle(channel::make_person({1.7, 1.3}));
+  core::Scene scene{std::move(room),
+                    core::ApRadio{{0.4, 0.4}, geom::deg_to_rad(45.0)},
+                    core::HeadsetRadio{{3.6, 1.4}, 0.0}};
+  core::OcclusionForecaster::Config config;
+  config.tracker.tracking_noise_m = 0.0;
+  core::OcclusionForecaster forecaster{config};
+
+  const geom::Vec2 from{3.6, 1.4};
+  const geom::Vec2 velocity{-1.0, 1.3};
+  std::uint64_t allocs = 0;
+  int windows = 0;
+  for (int i = 0; i < 90; ++i) {
+    const auto t = sim::from_seconds(i * 0.0111);
+    const geom::Vec2 pos = from + velocity * sim::to_seconds(t);
+    scene.headset().node().set_position(pos);
+    forecaster.on_pose(sim::TimePoint{t}, pos);
+    testing::alloc_counter_start();
+    const auto window = forecaster.forecast(scene, sim::TimePoint{t});
+    allocs += testing::alloc_counter_stop();
+    windows += window.has_value() ? 1 : 0;
+  }
+  EXPECT_EQ(allocs, 0u) << "forecast() touched the heap " << allocs
+                        << " time(s)";
+  EXPECT_GT(windows, 0) << "no window: the blocked-probe path never ran";
+  EXPECT_GT(forecaster.counters().forecasts,
+            forecaster.counters().no_fit_skips);
 }
 
 }  // namespace
