@@ -7,10 +7,12 @@
 // the scalar APIs (solve() / paths_between() per pair) against the SoA
 // batch stack (solve_batch / query_batch), with a bit-identity cross-check
 // and a hard gate on the warmed oracle speedup (DESIGN.md §11 promises
-// >= 10x). The summary writes the BENCH_microbench.json artifact via the
+// >= 10x), plus the transport tick and the event core's steady per-event
+// cost. The summary writes the BENCH_microbench.json artifact via the
 // shared bench::Json emitter; CI regenerates and uploads it.
 #include <benchmark/benchmark.h>
 
+#include <array>
 #include <chrono>
 #include <cmath>
 #include <cstdio>
@@ -34,6 +36,7 @@
 #include <phy/radio.hpp>
 #include <rf/codebook.hpp>
 #include <sim/rng.hpp>
+#include <sim/simulator.hpp>
 
 #include "bench_util.hpp"
 
@@ -457,6 +460,64 @@ void BM_EventQueueChurn(benchmark::State& state) {
 }
 BENCHMARK(BM_EventQueueChurn);
 
+/// The simulator's event shape, unlike the churn case above: a steady
+/// `pending` events in flight, each carrying a transport-sized capture
+/// (this pointer + 128-byte payload + ring index: 144 bytes), every
+/// dispatched event scheduling its successor, and one step in 100
+/// cancelling a pending event and scheduling its replacement (a recovered
+/// timeout cancelling its deadline).
+class SteadyEventLoad {
+ public:
+  explicit SteadyEventLoad(std::size_t pending) : ids_(pending) {
+    for (std::size_t r = 0; r < pending; ++r) {
+      ids_[r] = schedule(r);
+    }
+  }
+
+  void step() {
+    if (++steps_ % 100 == 0) {
+      const std::size_t r = (steps_ / 100 * 7919) % ids_.size();
+      simulator_.cancel(ids_[r]);
+      ids_[r] = schedule(r);
+    }
+    simulator_.step();
+  }
+
+  std::uint64_t sink() const { return sink_; }
+
+ private:
+  struct Payload {
+    std::array<std::uint8_t, 128> bytes;
+  };
+  static_assert(sizeof(Payload) == 128);
+
+  sim::EventQueue::EventId schedule(std::size_t ring) {
+    rng_ = rng_ * 6364136223846793005ULL + 1442695040888963407ULL;
+    const sim::Duration delay{static_cast<std::int64_t>(rng_ >> 54) + 1};
+    Payload payload;
+    payload.bytes.fill(static_cast<std::uint8_t>(ring));
+    return simulator_.after(delay, [this, payload, ring] {
+      sink_ += payload.bytes[ring % 128];
+      ids_[ring] = schedule(ring);
+    });
+  }
+
+  sim::Simulator simulator_;
+  std::vector<sim::EventQueue::EventId> ids_;
+  std::uint64_t rng_{1};
+  std::uint64_t steps_{0};
+  std::uint64_t sink_{0};
+};
+
+void BM_EventQueueSteady(benchmark::State& state) {
+  SteadyEventLoad load{static_cast<std::size_t>(state.range(0))};
+  for (auto _ : state) {
+    load.step();
+  }
+  benchmark::DoNotOptimize(load.sink());
+}
+BENCHMARK(BM_EventQueueSteady)->Arg(64)->Arg(512);
+
 // ---------------------------------------------------------------------------
 // --json summary: batch vs scalar over the coverage grid, measured directly
 // (steady-clock passes, not google-benchmark) so the artifact is one small
@@ -571,6 +632,21 @@ int batch_speedup_summary(const std::string& json_path) {
   run_ticks(200);  // warm every pool to steady state
   const double tick_ns = ns_per_pass([&] { run_ticks(100); }) / 100.0;
 
+  // Event core: steady schedule/run/cancel at two queue depths.
+  const auto steady_event_ns = [](std::size_t pending) {
+    SteadyEventLoad load{pending};
+    constexpr int kSteps = 10'000;
+    const double ns = ns_per_pass([&] {
+      for (int i = 0; i < kSteps; ++i) {
+        load.step();
+      }
+    });
+    benchmark::DoNotOptimize(load.sink());
+    return ns / kSteps;
+  };
+  const double event_ns_64 = steady_event_ns(64);
+  const double event_ns_512 = steady_event_ns(512);
+
   const double n_d = static_cast<double>(n);
   const double solver_speedup = solver_scalar_ns / solver_batch_ns;
   const double oracle_speedup = oracle_scalar_ns / oracle_batch_ns;
@@ -588,6 +664,9 @@ int batch_speedup_summary(const std::string& json_path) {
               oracle_batch_ns / n_d, oracle_speedup);
   std::printf("  transport steady tick   : %8.1f ns/tick (arena %zu B)\n",
               tick_ns, transport.arena_bytes());
+  std::printf("  event core steady       : %8.1f ns/event (64 pending), "
+              "%.1f (512)\n",
+              event_ns_64, event_ns_512);
 
   bench::Json doc = bench::Json::object();
   doc.set("bench", "microbench_batch_vs_scalar");
@@ -614,6 +693,10 @@ int batch_speedup_summary(const std::string& json_path) {
               .set("steady_tick_ns", tick_ns)
               .set("arena_bytes",
                    static_cast<std::uint64_t>(transport.arena_bytes())));
+  doc.set("event_queue",
+          bench::Json::object()
+              .set("steady_ns_per_event_64", event_ns_64)
+              .set("steady_ns_per_event_512", event_ns_512));
   if (!bench::emit_json(json_path, doc)) {
     return 1;
   }

@@ -2,68 +2,117 @@
 
 #include <algorithm>
 #include <stdexcept>
-#include <utility>
 
 namespace movr::sim {
+namespace {
 
-EventQueue::EventId EventQueue::schedule(TimePoint when, Handler handler) {
-  const EventId id = next_id_++;
-  heap_.push(Entry{when, next_seq_++, id, std::move(handler)});
-  ++live_count_;
-  return id;
+/// Heap order: std::push_heap/pop_heap build a max-heap, so "greater" puts
+/// the earliest (when, seq) on top. A function object, so the heap
+/// algorithms inline it.
+struct Later {
+  template <typename Key>
+  bool operator()(const Key& a, const Key& b) const {
+    if (a.when != b.when) return a.when > b.when;
+    return a.seq > b.seq;
+  }
+};
+
+}  // namespace
+
+std::uint32_t EventQueue::free_slot() {
+  if (free_head_ == kNoSlot) {
+    const auto base = static_cast<std::uint32_t>(chunks_.size() * kChunkSize);
+    chunks_.push_back(std::make_unique<Slot[]>(kChunkSize));
+    Slot* chunk = chunks_.back().get();
+    for (std::uint32_t i = 0; i + 1 < kChunkSize; ++i) {
+      chunk[i].next_free = base + i + 1;
+    }
+    chunk[kChunkSize - 1].next_free = kNoSlot;
+    free_head_ = base;
+  }
+  return free_head_;
 }
 
-bool EventQueue::is_cancelled(EventId id) const {
-  return std::find(cancelled_.begin(), cancelled_.end(), id) !=
-         cancelled_.end();
+EventQueue::EventId EventQueue::push(TimePoint when, std::uint32_t index) {
+  Slot& s = slot(index);
+  heap_.push_back(Key{when, next_seq_, index, s.generation});
+  std::push_heap(heap_.begin(), heap_.end(), Later{});
+  ++next_seq_;
+  free_head_ = s.next_free;
+  s.pending = true;
+  ++live_count_;
+  return (EventId{s.generation} << 32) | index;
+}
+
+void EventQueue::retire(std::uint32_t index) {
+  Slot& s = slot(index);
+  if (++s.generation == 0) {
+    s.generation = 1;
+  }
+  s.pending = false;
+  --live_count_;
+}
+
+void EventQueue::release(std::uint32_t index) {
+  Slot& s = slot(index);
+  s.handler.reset();
+  s.next_free = free_head_;
+  free_head_ = index;
+}
+
+void EventQueue::drop_stale() {
+  // Every stale key is still in the heap, so a nonzero count means a
+  // non-empty heap.
+  while (stale_keys_ != 0 &&
+         heap_.front().generation != slot(heap_.front().slot).generation) {
+    std::pop_heap(heap_.begin(), heap_.end(), Later{});
+    heap_.pop_back();
+    --stale_keys_;
+  }
 }
 
 void EventQueue::cancel(EventId id) {
-  if (id == 0 || id >= next_id_) {
+  const auto index = static_cast<std::uint32_t>(id);
+  const auto generation = static_cast<std::uint32_t>(id >> 32);
+  if (index >= chunks_.size() * kChunkSize) {
     return;
   }
-  if (!is_cancelled(id)) {
-    cancelled_.push_back(id);
-    if (live_count_ > 0) {
-      --live_count_;
-    }
+  const Slot& s = slot(index);
+  if (!s.pending || s.generation != generation) {
+    return;
   }
-}
-
-void EventQueue::drop_cancelled() {
-  while (!heap_.empty() && is_cancelled(heap_.top().id)) {
-    const EventId id = heap_.top().id;
-    cancelled_.erase(std::remove(cancelled_.begin(), cancelled_.end(), id),
-                     cancelled_.end());
-    heap_.pop();
-  }
-}
-
-bool EventQueue::empty() const {
-  // live_count_ already excludes cancelled-but-not-popped entries.
-  return live_count_ == 0;
+  retire(index);
+  release(index);
+  ++stale_keys_;
+  drop_stale();
 }
 
 TimePoint EventQueue::next_time() const {
-  auto* self = const_cast<EventQueue*>(this);
-  self->drop_cancelled();
   if (heap_.empty()) {
     throw std::logic_error{"EventQueue::next_time on empty queue"};
   }
-  return heap_.top().when;
+  return heap_.front().when;
 }
 
 TimePoint EventQueue::run_next() {
-  drop_cancelled();
   if (heap_.empty()) {
     throw std::logic_error{"EventQueue::run_next on empty queue"};
   }
-  // Move the handler out before popping: the handler may schedule new
-  // events, which mutates the heap.
-  Entry top = heap_.top();
-  heap_.pop();
-  --live_count_;
-  top.handler();
+  const Key top = heap_.front();
+  std::pop_heap(heap_.begin(), heap_.end(), Later{});
+  heap_.pop_back();
+  retire(top.slot);
+  drop_stale();
+  // Invoke the handler where it was constructed: slots never move, so the
+  // events it schedules cannot disturb it. Its id is already stale, so a
+  // handler cancelling itself is a no-op. The guard destroys it and frees
+  // the slot after it returns or throws.
+  struct Release {
+    EventQueue& queue;
+    std::uint32_t index;
+    ~Release() { queue.release(index); }
+  } guard{*this, top.slot};
+  slot(top.slot).handler();
   return top.when;
 }
 

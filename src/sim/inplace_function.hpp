@@ -9,11 +9,11 @@
 // allocation-free by construction, and callables that do not fit fail to
 // compile (static_assert) instead of silently spilling to the heap.
 //
-// Semantics are the slice of std::function the event queue needs: copyable
-// (the heap's top entry is copied out before popping), movable, callable,
-// empty-testable. Copyability of the stored callable is required — event
-// handlers capture PODs, pointers and std::function callbacks, all of
-// which copy.
+// Semantics are the slice of std::function the event queue needs:
+// emplace a callable in place, call, empty-test, destroy. The queue
+// constructs each handler directly in a slot whose storage never moves,
+// invokes it there and destroys it there (DESIGN.md §9.5), so the type is
+// neither copyable nor movable and the stored callable need not be either.
 #pragma once
 
 #include <cstddef>
@@ -30,42 +30,36 @@ template <typename R, typename... Args, std::size_t Capacity>
 class InplaceFunction<R(Args...), Capacity> {
  public:
   InplaceFunction() = default;
+  InplaceFunction(const InplaceFunction&) = delete;
+  InplaceFunction& operator=(const InplaceFunction&) = delete;
 
-  template <typename F,
-            typename = std::enable_if_t<!std::is_same_v<
-                std::decay_t<F>, InplaceFunction>>>
-  InplaceFunction(F&& f) {  // NOLINT(runtime/explicit): mirrors std::function
+  ~InplaceFunction() { reset(); }
+
+  /// Destroys the held callable, if any, and constructs `f` in its place.
+  /// ops_ is set only once the callable is built, so a throwing constructor
+  /// leaves the function empty.
+  template <typename F>
+  void emplace(F&& f) {
     using Fn = std::decay_t<F>;
     static_assert(sizeof(Fn) <= Capacity,
                   "callable too large for InplaceFunction buffer — shrink "
                   "the capture or raise Capacity");
     static_assert(alignof(Fn) <= alignof(std::max_align_t),
                   "callable over-aligned for InplaceFunction buffer");
-    static_assert(std::is_copy_constructible_v<Fn>,
-                  "InplaceFunction requires a copyable callable");
+    reset();
     ::new (static_cast<void*>(buffer_)) Fn(std::forward<F>(f));
     ops_ = &ops_for<Fn>;
   }
 
-  InplaceFunction(const InplaceFunction& other) { copy_from(other); }
-  InplaceFunction(InplaceFunction&& other) noexcept { move_from(other); }
-
-  InplaceFunction& operator=(const InplaceFunction& other) {
-    if (this != &other) {
-      destroy();
-      copy_from(other);
+  /// Destroys the held callable; the function is empty afterwards.
+  void reset() {
+    if (ops_ != nullptr) {
+      if (ops_->destroy != nullptr) {
+        ops_->destroy(buffer_);
+      }
+      ops_ = nullptr;
     }
-    return *this;
   }
-  InplaceFunction& operator=(InplaceFunction&& other) noexcept {
-    if (this != &other) {
-      destroy();
-      move_from(other);
-    }
-    return *this;
-  }
-
-  ~InplaceFunction() { destroy(); }
 
   explicit operator bool() const { return ops_ != nullptr; }
 
@@ -76,10 +70,11 @@ class InplaceFunction<R(Args...), Capacity> {
  private:
   struct Ops {
     R (*invoke)(const std::byte*, Args&&...);
-    void (*copy)(std::byte*, const std::byte*);
-    void (*move)(std::byte*, std::byte*);
-    void (*destroy)(std::byte*);
+    void (*destroy)(std::byte*);  // null when there is nothing to destroy
   };
+
+  template <typename Fn>
+  static void destroy_fn(std::byte* buf) { reinterpret_cast<Fn*>(buf)->~Fn(); }
 
   template <typename Fn>
   static constexpr Ops ops_for{
@@ -89,36 +84,8 @@ class InplaceFunction<R(Args...), Capacity> {
         return (*const_cast<Fn*>(reinterpret_cast<const Fn*>(buf)))(
             std::forward<Args>(args)...);
       },
-      [](std::byte* dst, const std::byte* src) {
-        ::new (static_cast<void*>(dst)) Fn(*reinterpret_cast<const Fn*>(src));
-      },
-      [](std::byte* dst, std::byte* src) {
-        ::new (static_cast<void*>(dst)) Fn(std::move(*reinterpret_cast<Fn*>(src)));
-      },
-      [](std::byte* buf) { reinterpret_cast<Fn*>(buf)->~Fn(); },
+      std::is_trivially_destructible_v<Fn> ? nullptr : &destroy_fn<Fn>,
   };
-
-  void copy_from(const InplaceFunction& other) {
-    if (other.ops_ != nullptr) {
-      other.ops_->copy(buffer_, other.buffer_);
-    }
-    ops_ = other.ops_;
-  }
-  void move_from(InplaceFunction& other) noexcept {
-    const Ops* ops = other.ops_;
-    if (ops != nullptr) {
-      ops->move(buffer_, other.buffer_);
-      ops->destroy(other.buffer_);
-    }
-    ops_ = ops;
-    other.ops_ = nullptr;
-  }
-  void destroy() {
-    if (ops_ != nullptr) {
-      ops_->destroy(buffer_);
-      ops_ = nullptr;
-    }
-  }
 
   alignas(std::max_align_t) mutable std::byte buffer_[Capacity];
   const Ops* ops_{nullptr};

@@ -1,25 +1,8 @@
 #include <sim/simulator.hpp>
 
 #include <stdexcept>
-#include <utility>
 
 namespace movr::sim {
-
-EventQueue::EventId Simulator::after(Duration delay,
-                                     EventQueue::Handler handler) {
-  if (delay < Duration::zero()) {
-    throw std::invalid_argument{"Simulator::after: negative delay"};
-  }
-  return queue_.schedule(now_ + delay, std::move(handler));
-}
-
-EventQueue::EventId Simulator::at(TimePoint when,
-                                  EventQueue::Handler handler) {
-  if (when < now_) {
-    throw std::invalid_argument{"Simulator::at: time in the past"};
-  }
-  return queue_.schedule(when, std::move(handler));
-}
 
 void Simulator::run() {
   while (step()) {

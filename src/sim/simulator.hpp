@@ -1,7 +1,9 @@
 // The simulator: an event queue plus a clock, with convenience scheduling.
 #pragma once
 
-#include <functional>
+#include <cstdint>
+#include <stdexcept>
+#include <utility>
 
 #include <sim/event_queue.hpp>
 #include <sim/time.hpp>
@@ -20,11 +22,25 @@ class Simulator {
 
   TimePoint now() const { return now_; }
 
-  /// Schedules `handler` to run `delay` from now.
-  EventQueue::EventId after(Duration delay, EventQueue::Handler handler);
+  /// Schedules `handler` (any callable that fits EventQueue::Handler) to
+  /// run `delay` from now. The callable is constructed directly in its
+  /// event slot.
+  template <typename F>
+  EventQueue::EventId after(Duration delay, F&& handler) {
+    if (delay < Duration::zero()) {
+      throw std::invalid_argument{"Simulator::after: negative delay"};
+    }
+    return queue_.schedule(now_ + delay, std::forward<F>(handler));
+  }
 
   /// Schedules `handler` at absolute time `when` (must not be in the past).
-  EventQueue::EventId at(TimePoint when, EventQueue::Handler handler);
+  template <typename F>
+  EventQueue::EventId at(TimePoint when, F&& handler) {
+    if (when < now_) {
+      throw std::invalid_argument{"Simulator::at: time in the past"};
+    }
+    return queue_.schedule(when, std::forward<F>(handler));
+  }
 
   void cancel(EventQueue::EventId id) { queue_.cancel(id); }
 

@@ -104,6 +104,11 @@ TEST(FaultRecovery, WatchdogBoundsReflectionSearch) {
   EXPECT_FALSE(result.completed);
   EXPECT_NE(result.failure_reason.find("watchdog"), std::string::npos);
   EXPECT_EQ(result.duration, config.watchdog);
+  // complete() cancels the watchdog from inside the watchdog itself; the
+  // queue must still run everything behind it dry, the brownout's end at
+  // 10 s included.
+  EXPECT_EQ(simulator.pending_events(), 0u);
+  EXPECT_EQ(simulator.now(), sim::TimePoint{10s});
 }
 
 TEST(FaultRecovery, HandoverTimeoutQuarantinesTargetAndDegrades) {

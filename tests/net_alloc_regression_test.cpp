@@ -17,6 +17,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <array>
 #include <cmath>
 #include <random>
 #include <vector>
@@ -318,6 +319,52 @@ TEST(NetAllocRegression, WarmedForecastIsHeapFree) {
   EXPECT_GT(windows, 0) << "no window: the blocked-probe path never ran";
   EXPECT_GT(forecaster.counters().forecasts,
             forecaster.counters().no_fit_skips);
+}
+
+/// One cycle of simulator churn shaped like the transport's: 256 pending
+/// events whose captures are transport-sized (a 128-byte payload plus a
+/// pointer); every fourth handler schedules a follow-up (an ack), and every
+/// sixteenth event is cancelled before it fires (a recovered timeout).
+void churn_cycle(sim::Simulator& simulator, std::uint64_t& sink) {
+  struct Payload {
+    std::array<std::uint8_t, 128> bytes;
+  };
+  Payload payload{};
+  std::array<sim::EventQueue::EventId, 256> ids{};
+  for (std::size_t i = 0; i < ids.size(); ++i) {
+    payload.bytes[i % 128] = static_cast<std::uint8_t>(i);
+    const sim::Duration delay{static_cast<std::int64_t>(i * 37 % 64 + 1)};
+    ids[i] = simulator.after(delay, [&simulator, &sink, payload, i] {
+      sink += payload.bytes[i % 128];
+      if (i % 4 == 0) {
+        simulator.after(sim::Duration{5},
+                        [&sink, payload] { sink += payload.bytes[0]; });
+      }
+    });
+  }
+  for (std::size_t i = 0; i < ids.size(); i += 16) {
+    simulator.cancel(ids[i]);
+  }
+  simulator.run();
+}
+
+TEST(NetAllocRegression, WarmedSimulatorScheduleCancelRunIsHeapFree) {
+  // The event core's pools (the slot pool and the key heap) keep their
+  // capacity, so once one cycle has grown them an identical cycle must not
+  // touch the heap: no per-event allocation, none for cancels.
+  sim::Simulator simulator;
+  std::uint64_t warm_sink = 0;
+  churn_cycle(simulator, warm_sink);
+  ASSERT_EQ(simulator.pending_events(), 0u);
+
+  std::uint64_t sink = 0;
+  testing::alloc_counter_start();
+  churn_cycle(simulator, sink);
+  const std::uint64_t allocs = testing::alloc_counter_stop();
+  EXPECT_EQ(allocs, 0u) << "warmed schedule/cancel/run touched the heap "
+                        << allocs << " time(s)";
+  EXPECT_EQ(sink, warm_sink);
+  EXPECT_EQ(simulator.pending_events(), 0u);
 }
 
 }  // namespace

@@ -87,6 +87,51 @@ TEST(Simulator, CancelPending) {
   EXPECT_FALSE(fired);
 }
 
+TEST(Simulator, RunDrainsAfterSelfCancel) {
+  // A watchdog whose completion cancels its own (running) id must not make
+  // the queue look empty while later events are still pending.
+  Simulator s;
+  EventQueue::EventId watchdog = 0;
+  bool later_fired = false;
+  watchdog = s.after(Duration{10}, [&] { s.cancel(watchdog); });
+  s.after(Duration{20}, [&] { later_fired = true; });
+  s.run();
+  EXPECT_TRUE(later_fired);
+  EXPECT_EQ(s.pending_events(), 0u);
+  EXPECT_EQ(s.now(), TimePoint{20});
+}
+
+TEST(Simulator, CancelAfterFireKeepsPendingCount) {
+  Simulator s;
+  int fired = 0;
+  const auto early = s.after(Duration{10}, [&] { ++fired; });
+  s.after(Duration{20}, [&] { ++fired; });
+  s.after(Duration{30}, [&] { ++fired; });
+  s.run_until(TimePoint{15});
+  s.cancel(early);
+  s.cancel(early);
+  EXPECT_EQ(s.pending_events(), 2u);
+  s.run_until(TimePoint{25});
+  EXPECT_EQ(fired, 2);
+  EXPECT_EQ(s.pending_events(), 1u);
+  s.run();
+  EXPECT_EQ(fired, 3);
+  EXPECT_EQ(s.pending_events(), 0u);
+}
+
+TEST(Simulator, ThrowingHandlerIsConsumed) {
+  Simulator s;
+  bool later_fired = false;
+  s.after(Duration{10}, [] { throw std::runtime_error{"handler failed"}; });
+  s.after(Duration{20}, [&] { later_fired = true; });
+  EXPECT_THROW(s.run(), std::runtime_error);
+  EXPECT_EQ(s.now(), TimePoint{10});
+  EXPECT_EQ(s.pending_events(), 1u);
+  s.run();
+  EXPECT_TRUE(later_fired);
+  EXPECT_EQ(s.pending_events(), 0u);
+}
+
 TEST(Simulator, SafetyValveTripsOnEventCount) {
   Simulator s;
   s.set_safety_valve({.max_events = 100, .max_time = Duration::zero()});
